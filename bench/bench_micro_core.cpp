@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the core inference primitives:
 // Viterbi, forward-backward, posterior sampling, transition powers, the
-// TCP simulator and the estimator f, plus a full end-to-end infer().
+// TCP simulator, the estimator f and the MPC horizon search, plus a full
+// end-to-end infer().
 //
 // Benchmarks that exercise the EHMM kernels take a `simd` argument:
 // /simd:0 forces the scalar reference table, /simd:1 the default
@@ -12,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include "abr/abr_factory.hpp"
+#include "abr/mpc.hpp"
 #include "core/inference_engine.hpp"
 #include "core/veritas.hpp"
 #include "math/simd_kernels.hpp"
@@ -559,6 +561,48 @@ void BM_FullSession(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullSession);
+
+// One MPC horizon search mid-session: chunk 150 of the shared MPC log
+// (default ladder, 5 s buffer) with the 150 downloads before it as
+// history. Repeated calls on one instance settle the robust error window
+// and the previous quality after a few iterations, so this times the
+// steady-state decision that every counterfactual replay runs per chunk.
+void BM_MpcChooseQuality(benchmark::State& state) {
+  const sim::SessionLog& log = shared_log();
+  const video::Video video(video::default_video_config());
+  const std::size_t next = log.size() / 2;
+  std::vector<abr::DownloadedChunk> history;
+  for (std::size_t n = 0; n < next; ++n) {
+    const sim::ChunkLog& c = log.chunks[n];
+    history.push_back({c.index, c.quality, c.size_bytes, c.download_time_s()});
+  }
+  abr::AbrContext context;
+  context.video = &video;
+  context.next_chunk = next;
+  context.buffer_s = log.chunks[next].buffer_at_start_s;
+  context.buffer_capacity_s = 5.0;
+  context.history = history;
+  abr::Mpc mpc;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mpc.choose_quality(context));
+  }
+}
+BENCHMARK(BM_MpcChooseQuality);
+
+// One 300-chunk MPC session on an FCC-like trace with a 30 s buffer: the
+// replay the paper's Fig. 10 buffer what-if runs per posterior sample.
+void BM_MpcSession(benchmark::State& state) {
+  const auto traces = trace::make_traces(trace::TraceFamily::kFccLike, 1, 7);
+  const video::Video video(video::default_video_config());
+  const net::NetworkPath path(traces[0], 0.08);
+  sim::SessionConfig config;
+  config.buffer_capacity_s = 30.0;
+  abr::Mpc mpc;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::run_session(video, mpc, path, config));
+  }
+}
+BENCHMARK(BM_MpcSession);
 
 // The observability tax (PR 8): a TraceSpan site when tracing is
 // disabled costs one relaxed atomic load (or, with the macro compiled

@@ -10,7 +10,7 @@ namespace veritas::abr {
 
 namespace {
 
-/// Buffer/QoE rollout state for the exhaustive horizon search.
+/// Buffer/QoE rollout state for the horizon search.
 struct Rollout {
   double buffer_s = 0.0;
   double qoe = 0.0;
@@ -23,6 +23,10 @@ Mpc::Mpc(MpcConfig config) : config_(config) {
   VERITAS_EXPECTS(config_.horizon >= 1);
   VERITAS_EXPECTS(config_.throughput_window >= 1);
   VERITAS_EXPECTS(config_.safety_fallback_mbps > 0.0);
+  // The search's pruning bound assumes no step can gain more than its
+  // bitrate, which holds only for non-negative penalties.
+  VERITAS_EXPECTS(config_.rebuffer_penalty >= 0.0);
+  VERITAS_EXPECTS(config_.switch_penalty >= 0.0);
 }
 
 void Mpc::reset() {
@@ -67,26 +71,50 @@ std::size_t Mpc::choose_quality(const AbrContext& context) {
   const std::size_t remaining = video.num_chunks() - context.next_chunk;
   const std::size_t horizon = std::min(config_.horizon, remaining);
 
-  double best_qoe = -std::numeric_limits<double>::infinity();
-  std::size_t best_first = 0;
-
-  // Exhaustive search over quality sequences (levels^horizon <= 5^5):
-  // simulate buffer dynamics under the predicted throughput and score
-  // QoE = bitrate - rebuffer_penalty * stall - switch_penalty * |Δbitrate|.
-  auto rollout = [&](auto&& self, std::size_t depth, Rollout state,
-                     std::size_t first) -> void {
-    if (depth == horizon) {
-      if (state.qoe > best_qoe) {
-        best_qoe = state.qoe;
-        best_first = first;
-      }
-      return;
-    }
+  // Hoist every Video lookup out of the search: per-(depth, quality)
+  // download times under the predicted throughput, the ladder bitrates,
+  // and suffix_bound_[d] = (horizon - d) * top bitrate, an upper bound on
+  // the QoE any (horizon - d) further steps can add.
+  download_s_.resize(horizon * levels);
+  bitrate_.resize(levels);
+  suffix_bound_.resize(horizon + 1);
+  for (std::size_t quality = 0; quality < levels; ++quality) {
+    bitrate_[quality] = video.bitrate_mbps(quality);
+  }
+  for (std::size_t depth = 0; depth < horizon; ++depth) {
     const std::size_t chunk = context.next_chunk + depth;
     for (std::size_t quality = 0; quality < levels; ++quality) {
       const double size_bytes = video.chunk_size_bytes(chunk, quality);
-      const double bitrate = video.bitrate_mbps(quality);
-      const double download_s = size_bytes * 8.0 / 1e6 / predicted_mbps;
+      download_s_[depth * levels + quality] =
+          size_bytes * 8.0 / 1e6 / predicted_mbps;
+    }
+  }
+  for (std::size_t depth = 0; depth <= horizon; ++depth) {
+    suffix_bound_[depth] =
+        static_cast<double>(horizon - depth) * bitrate_[levels - 1];
+  }
+
+  double best_qoe = -std::numeric_limits<double>::infinity();
+  std::size_t best_first = 0;
+
+  // Exact branch-and-bound over quality sequences (levels^horizon <= 5^5
+  // leaves): simulate buffer dynamics under the predicted throughput and
+  // score QoE = bitrate - rebuffer_penalty * stall - switch_penalty *
+  // |Δbitrate|. Each step adds at most its bitrate (both penalties are
+  // >= 0), so qoe + suffix_bound_[depth] bounds every leaf below a node.
+  // A node is skipped only when that bound falls short of best_qoe by a
+  // relative margin far wider than any rounding in the leaf sums, so a
+  // skipped leaf could never have passed the strict `>` below. With
+  // quality 0 visited first and each leaf scored by the same sequence of
+  // operations as in an exhaustive search, the choice (ties included) is
+  // the one that search makes.
+  auto rollout = [&](auto&& self, std::size_t depth, Rollout state,
+                     std::size_t first) -> void {
+    const double* download_row = download_s_.data() + depth * levels;
+    const bool leaf = depth + 1 == horizon;
+    for (std::size_t quality = 0; quality < levels; ++quality) {
+      const double bitrate = bitrate_[quality];
+      const double download_s = download_row[quality];
       const double stall = std::max(0.0, download_s - state.buffer_s);
       double buffer = std::max(0.0, state.buffer_s - download_s) + chunk_s;
       buffer = std::min(buffer, context.buffer_capacity_s);
@@ -94,8 +122,17 @@ std::size_t Mpc::choose_quality(const AbrContext& context) {
       if (state.prev_bitrate >= 0.0) {
         qoe -= config_.switch_penalty * std::abs(bitrate - state.prev_bitrate);
       }
-      self(self, depth + 1, Rollout{buffer, qoe, bitrate},
-           depth == 0 ? quality : first);
+      const std::size_t next_first = depth == 0 ? quality : first;
+      if (leaf) {
+        if (qoe > best_qoe) {
+          best_qoe = qoe;
+          best_first = next_first;
+        }
+        continue;
+      }
+      const double bound = qoe + suffix_bound_[depth + 1];
+      if (bound + 1e-9 * (std::abs(bound) + 1.0) < best_qoe) continue;
+      self(self, depth + 1, Rollout{buffer, qoe, bitrate}, next_first);
     }
   };
 

@@ -3,9 +3,11 @@
 //
 // RobustMPC variant: predicts throughput as the harmonic mean of recent
 // observations discounted by the recent maximum relative prediction
-// error, then exhaustively searches quality sequences over a lookahead
-// horizon maximizing a QoE objective (bitrate reward, rebuffering
-// penalty, switching penalty) under simulated buffer dynamics.
+// error, then searches quality sequences over a lookahead horizon for the
+// one maximizing a QoE objective (bitrate reward, rebuffering penalty,
+// switching penalty) under simulated buffer dynamics. The search is an
+// exact branch-and-bound: it returns what an exhaustive search would,
+// ties included.
 #pragma once
 
 #include <vector>
@@ -17,8 +19,8 @@ namespace veritas::abr {
 struct MpcConfig {
   std::size_t horizon = 5;            ///< lookahead chunks
   std::size_t throughput_window = 5;  ///< harmonic-mean window
-  double rebuffer_penalty = 8.0;      ///< QoE units per stalled second
-  double switch_penalty = 1.0;        ///< per Mbps of bitrate change
+  double rebuffer_penalty = 8.0;      ///< QoE units per stalled second (>= 0)
+  double switch_penalty = 1.0;        ///< per Mbps of bitrate change (>= 0)
   double safety_fallback_mbps = 1.0;  ///< predictor fallback with no history
   bool robust = true;                 ///< discount by max recent error
 };
@@ -40,6 +42,11 @@ class Mpc final : public AbrAlgorithm {
   std::vector<double> past_prediction_errors_;
   double last_prediction_mbps_ = 0.0;
   bool has_last_prediction_ = false;
+
+  // Per-decision search tables, kept so a decision allocates nothing.
+  std::vector<double> download_s_;    ///< [depth * levels + quality]
+  std::vector<double> bitrate_;       ///< [quality]
+  std::vector<double> suffix_bound_;  ///< [depth], (horizon - depth) * top
 };
 
 }  // namespace veritas::abr

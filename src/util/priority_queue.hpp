@@ -1,9 +1,9 @@
 // Bounded multi-producer / multi-consumer queue with priority classes.
 //
-// The service's admission-controlled successor to util::BoundedQueue:
-// one shared capacity across N strict priority classes (0 = most
-// urgent), FIFO within a class. What it adds over the plain queue is
-// exactly the overload toolkit:
+// The service's admission-controlled submission queue: one shared
+// capacity across N strict priority classes (0 = most urgent), FIFO
+// within a class. Besides blocking push()/pop() it carries the overload
+// toolkit:
 //
 //  * timed admission — push_until() waits for space only up to a
 //    deadline, so a submitter's queue wait is bounded by construction;
@@ -20,8 +20,8 @@
 //
 // Failure is non-destructive everywhere: any push that does not accept
 // the item leaves the caller's value untouched (moves happen only on
-// the commit path). close() keeps BoundedQueue's contract — accepted
-// items are always drained (pop_if ignores eligibility once closed, so
+// the commit path). close() never drops accepted work: accepted items
+// are always drained (pop_if ignores eligibility once closed, so
 // shutdown can never deadlock on a quota), then pops return nullopt.
 #pragma once
 
@@ -218,9 +218,9 @@ class BoundedPriorityQueue {
     return n;
   }
 
-  /// Removes and returns lanes_[p][i]; called under mutex_. The unlock +
-  /// notify ordering of BoundedQueue is kept by the callers being about
-  /// to drop their lock scope.
+  /// Removes and returns lanes_[p][i]; called under mutex_. It notifies
+  /// not_full_ with the lock held; every caller drops its lock scope
+  /// right after.
   std::optional<T> take_locked(std::size_t p, std::size_t i) {
     T value = std::move(lanes_[p][i]);
     lanes_[p].erase(lanes_[p].begin() + static_cast<std::ptrdiff_t>(i));

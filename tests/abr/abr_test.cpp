@@ -151,6 +151,18 @@ TEST(Mpc, RobustDiscountLowersChoice) {
   EXPECT_LE(q_robust, q_plain);
 }
 
+TEST(Mpc, RejectsNegativeRebufferPenalty) {
+  MpcConfig cfg;
+  cfg.rebuffer_penalty = -0.5;
+  EXPECT_THROW(Mpc{cfg}, veritas::ContractViolation);
+}
+
+TEST(Mpc, RejectsNegativeSwitchPenalty) {
+  MpcConfig cfg;
+  cfg.switch_penalty = -1.0;
+  EXPECT_THROW(Mpc{cfg}, veritas::ContractViolation);
+}
+
 TEST(Bola, LowBufferPicksLowest) {
   const video::Video v = test_video();
   Bola bola;

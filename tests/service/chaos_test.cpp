@@ -15,6 +15,7 @@
 #include <future>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -74,6 +75,19 @@ ScopedFailpoint occupy_lane(std::uint64_t ms) {
   config.sleep_ms = ms;
   config.max_hits = 1;
   return ScopedFailpoint("service.lane.execute", config);
+}
+
+/// Waits (bounded) until the lane has dequeued the job that eats
+/// occupy_lane's sleep. Until then that job still counts toward the
+/// queue depth, so a submit racing the dequeue could see one job too
+/// many (and be degraded, shed or bounced by mistake).
+void wait_until_lane_busy(const ScopedFailpoint& lane_blocker) {
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (lane_blocker.hits() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(lane_blocker.hits(), 1u) << "the lane never took the slow job";
 }
 
 class ServiceChaosTest : public ::testing::Test {
@@ -202,6 +216,7 @@ TEST_F(ServiceChaos, DeadlineExpiresAtDequeueBehindASlowJob) {
   const sim::SessionLog log = test_log(5);
 
   auto slow = service.submit(make_query(log, 1));  // eats the 300ms sleep
+  wait_until_lane_busy(lane_blocker);
   Query doomed = make_query(log, 2);
   doomed.options.deadline = std::chrono::steady_clock::now() + 50ms;
   auto expired = service.submit(std::move(doomed));
@@ -230,6 +245,7 @@ TEST_F(ServiceChaos, AdmissionTimeoutBoundsTheSubmitWait) {
   const sim::SessionLog log = test_log(6);
 
   auto slow = service.submit(make_query(log, 1));    // occupies the lane
+  wait_until_lane_busy(lane_blocker);
   auto queued = service.submit(make_query(log, 2));  // fills the queue
   const auto start = std::chrono::steady_clock::now();
   auto bounced = service.submit(make_query(log, 3));  // must not block long
@@ -257,6 +273,7 @@ TEST_F(ServiceChaos, OverloadShedsBackgroundBeforeAnythingElse) {
   const sim::SessionLog log = test_log(7);
 
   auto slow = service.submit(make_query(log, 1));    // occupies the lane
+  wait_until_lane_busy(lane_blocker);
   auto queued = service.submit(make_query(log, 2));  // depth 1: overloaded
   EXPECT_TRUE(service.overloaded());
   auto background =
@@ -289,6 +306,7 @@ TEST_F(ServiceChaos, InteractiveArrivalDisplacesQueuedBackground) {
   const sim::SessionLog log = test_log(8);
 
   auto slow = service.submit(make_query(log, 1));  // occupies the lane
+  wait_until_lane_busy(lane_blocker);
   auto background =
       service.submit(make_query(log, 2, Priority::kBackground));  // queued
   // The interactive arrival lands in O(1): the queued background job is
@@ -319,6 +337,7 @@ TEST_F(ServiceChaos, DegradedResultIsAnExactPrefixOfTheFullAnswer) {
   const sim::SessionLog log = test_log(9);
 
   auto slow = service.submit(make_query(log, 1));    // occupies the lane
+  wait_until_lane_busy(lane_blocker);
   auto queued = service.submit(make_query(log, 2));  // depth 1: overloaded
   auto degraded = service.submit(make_query(log, 77));
 
@@ -361,6 +380,7 @@ TEST_F(ServiceChaos, DegradedResultsAreNeverCached) {
   const sim::SessionLog log = test_log(10);
 
   auto slow = service.submit(make_query(log, 1));
+  wait_until_lane_busy(lane_blocker);
   auto queued = service.submit(make_query(log, 2));
   auto degraded = service.submit(make_query(log, 77));
   (void)slow.get();
@@ -397,6 +417,7 @@ TEST_F(ServiceChaos, StaleCacheHitServedUnderOverloadAfterSwap) {
   // Pressure: block the lane and queue a job so the detector arms.
   auto lane_blocker = occupy_lane(300);
   auto slow = service.submit(make_query(log, 2));
+  wait_until_lane_busy(lane_blocker);
   auto queued = service.submit(make_query(log, 3));
   EXPECT_TRUE(service.overloaded());
 

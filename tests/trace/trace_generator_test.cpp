@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 namespace veritas::trace {
 namespace {
@@ -119,6 +120,13 @@ struct FamilyRange {
   TraceFamily family;
   double min, max;
 };
+
+// Names each case by its family. Without this gtest prints the raw bytes,
+// padding included, so the case names (and the ctest names derived from
+// them) changed from one process to the next.
+void PrintTo(const FamilyRange& r, std::ostream* os) {
+  *os << family_name(r.family);
+}
 
 class FamilyBounds : public ::testing::TestWithParam<FamilyRange> {};
 
