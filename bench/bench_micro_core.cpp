@@ -4,11 +4,9 @@
 // end-to-end infer().
 //
 // Benchmarks that exercise the EHMM kernels take a `simd` argument:
-// /simd:0 forces the scalar reference table, /simd:1 the default
-// bit-exact vector table, /simd:2 the opt-in AVX-512/FMA tier (each
-// skipped when the binary or CPU lacks that table), so one run records
-// the full kernel-tier trajectory side by side (tools/run_bench.sh →
-// BENCH_7.json). Every guarded benchmark labels itself with the
+// /simd:0 forces the scalar reference table, /simd:1 the bit-exact
+// vector table (skipped when the binary or CPU lacks it), so one run
+// records both kernel tiers side by side (tools/run_bench.sh). Every guarded benchmark labels itself with the
 // *resolved* tier name so the JSON never reports a stale dispatch mode.
 #include <benchmark/benchmark.h>
 
@@ -42,11 +40,10 @@ const sim::SessionLog& shared_log() {
 }
 
 /// Applies the benchmark's simd argument to the kernel dispatcher:
-/// 0 = scalar reference, 1 = default bit-exact vector table, 2 = opt-in
-/// AVX-512/FMA tier. Returns false (after flagging a skip) when the
-/// requested table is absent, and labels the benchmark with the
-/// *resolved* tier name (sk::backend_name()) so recorded runs identify
-/// the kernels that actually executed.
+/// 0 = scalar reference, 1 = vector table. Returns false (after flagging
+/// a skip) when the requested table is absent, and labels the benchmark
+/// with the *resolved* tier name (sk::backend_name()) so recorded runs
+/// identify the kernels that actually executed.
 class KernelModeGuard {
  public:
   explicit KernelModeGuard(benchmark::State& state) {
@@ -56,14 +53,7 @@ class KernelModeGuard {
       ok_ = false;
       return;
     }
-    if (tier == 2 && sk::avx512_ops() == nullptr) {
-      state.SkipWithError("AVX-512 kernel table unavailable");
-      ok_ = false;
-      return;
-    }
-    sk::set_mode(tier == 2   ? sk::Mode::kForceAvx512
-                 : tier == 1 ? sk::Mode::kForceSimd
-                             : sk::Mode::kForceScalar);
+    sk::set_mode(tier == 1 ? sk::Mode::kForceSimd : sk::Mode::kForceScalar);
     state.SetLabel(sk::backend_name());
   }
   ~KernelModeGuard() { sk::set_mode(sk::Mode::kAuto); }
@@ -84,7 +74,7 @@ void BM_Viterbi(benchmark::State& state) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(obs.size()));
 }
-BENCHMARK(BM_Viterbi)->ArgName("simd")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Viterbi)->ArgName("simd")->Arg(0)->Arg(1);
 
 void BM_ForwardBackward(benchmark::State& state) {
   KernelModeGuard guard(state);
@@ -97,7 +87,7 @@ void BM_ForwardBackward(benchmark::State& state) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(obs.size()));
 }
-BENCHMARK(BM_ForwardBackward)->ArgName("simd")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ForwardBackward)->ArgName("simd")->Arg(0)->Arg(1);
 
 // The forward-backward *recursion* phase: emission means precomputed
 // once (the TCP estimator f is scalar and identical in both modes), so
@@ -119,7 +109,7 @@ void BM_ForwardBackwardRecursion(benchmark::State& state) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(obs.size()));
 }
-BENCHMARK(BM_ForwardBackwardRecursion)->ArgName("simd")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ForwardBackwardRecursion)->ArgName("simd")->Arg(0)->Arg(1);
 
 void BM_PosteriorSample(benchmark::State& state) {
   const core::Veritas veritas;
@@ -143,7 +133,7 @@ void BM_FullInfer(benchmark::State& state) {
     benchmark::DoNotOptimize(veritas.infer(shared_log()));
   }
 }
-BENCHMARK(BM_FullInfer)->ArgName("simd")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_FullInfer)->ArgName("simd")->Arg(0)->Arg(1);
 
 core::VeritasConfig multi_window_config() {
   core::VeritasConfig cfg;
@@ -173,7 +163,7 @@ void BM_FusedSessionPass(benchmark::State& state) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(obs.size()));
 }
-BENCHMARK(BM_FusedSessionPass)->ArgName("simd")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_FusedSessionPass)->ArgName("simd")->Arg(0)->Arg(1);
 
 void BM_FusedSessionPassMultiWindow(benchmark::State& state) {
   const core::InferenceEngine engine{multi_window_config()};
@@ -202,7 +192,7 @@ BENCHMARK(BM_EmissionLogProbs)->Arg(0)->Arg(1);
 // ------------------------------------------------------- kernel-level
 
 /// Shared fixture for the raw kernel benches: one prepared session
-/// (padded scratch tables) plus the dense Δ=1 transition tables.
+/// (padded scratch tables) plus the Δ=1 transition tables.
 struct KernelFixture {
   core::Veritas veritas;
   core::Ehmm ehmm = veritas.make_ehmm();
@@ -219,13 +209,7 @@ struct KernelFixture {
     (void)ehmm.forward_backward(obs, scratch);
     core::EstimatorCache means_cache;
     ehmm.emission_means_into(obs, means, means_cache);
-    const core::TransitionModel::PowerView view =
-        ehmm.transition().power_view(1);
-    tables.p = view.p->row_data(0);
-    tables.t = view.transposed->row_data(0);
-    tables.log_p = view.log_p->row_data(0);
-    tables.log_t = view.log_transposed->row_data(0);
-    tables.stride = view.p->col_stride();
+    tables = ehmm.transition().power_view(1);
     k = ehmm.space().size();
     stride = tables.stride;
   }
@@ -237,17 +221,12 @@ const KernelFixture& kernel_fixture() {
 }
 
 const sk::KernelOps& bench_ops(const benchmark::State& state) {
-  if (state.range(0) == 2) return *sk::avx512_ops();
   return state.range(0) == 1 ? *sk::simd_ops() : sk::scalar_ops();
 }
 
 bool skip_if_no_simd(benchmark::State& state) {
   if (state.range(0) == 1 && sk::simd_ops() == nullptr) {
     state.SkipWithError("SIMD kernel table unavailable");
-    return true;
-  }
-  if (state.range(0) == 2 && sk::avx512_ops() == nullptr) {
-    state.SkipWithError("AVX-512 kernel table unavailable");
     return true;
   }
   state.SetLabel(bench_ops(state).name);
@@ -269,7 +248,7 @@ void BM_KernelEmissionRow(benchmark::State& state) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(f.k));
 }
-BENCHMARK(BM_KernelEmissionRow)->ArgName("simd")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelEmissionRow)->ArgName("simd")->Arg(0)->Arg(1);
 
 // One row of exp(log_e - max): the forward-backward emission rescale.
 void BM_KernelExpRow(benchmark::State& state) {
@@ -284,7 +263,7 @@ void BM_KernelExpRow(benchmark::State& state) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(f.stride));
 }
-BENCHMARK(BM_KernelExpRow)->ArgName("simd")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelExpRow)->ArgName("simd")->Arg(0)->Arg(1);
 
 // One k² max-plus Viterbi step over the dense Δ=1 tables.
 void BM_KernelViterbiStep(benchmark::State& state) {
@@ -302,7 +281,7 @@ void BM_KernelViterbiStep(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) *
                           int64_t(f.k * f.k));
 }
-BENCHMARK(BM_KernelViterbiStep)->ArgName("simd")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelViterbiStep)->ArgName("simd")->Arg(0)->Arg(1);
 
 // One k² sum-product forward step.
 void BM_KernelForwardStep(benchmark::State& state) {
@@ -319,7 +298,7 @@ void BM_KernelForwardStep(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) *
                           int64_t(f.k * f.k));
 }
-BENCHMARK(BM_KernelForwardStep)->ArgName("simd")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelForwardStep)->ArgName("simd")->Arg(0)->Arg(1);
 
 // One k² backward step with the fused pair-posterior normalizer.
 void BM_KernelBackwardPairStep(benchmark::State& state) {
@@ -339,7 +318,7 @@ void BM_KernelBackwardPairStep(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) *
                           int64_t(f.k * f.k));
 }
-BENCHMARK(BM_KernelBackwardPairStep)->ArgName("simd")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelBackwardPairStep)->ArgName("simd")->Arg(0)->Arg(1);
 
 // --------------------------------------------------------- transition
 
@@ -414,7 +393,7 @@ void BM_EstimatorBatchK17(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) *
                           int64_t(candidates.size()));
 }
-BENCHMARK(BM_EstimatorBatchK17)->ArgName("simd")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_EstimatorBatchK17)->ArgName("simd")->Arg(0)->Arg(1);
 
 /// CA-dominated batch: every candidate's pipe is wider than the opening
 /// window (bdp > cwnd0 at min_rtt 80 ms needs gtbw > 1.8 Mbps, so no
@@ -443,11 +422,7 @@ void BM_EstimatorBatchCaHeavyK17(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) *
                           int64_t(candidates.size()));
 }
-BENCHMARK(BM_EstimatorBatchCaHeavyK17)
-    ->ArgName("simd")
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2);
+BENCHMARK(BM_EstimatorBatchCaHeavyK17)->ArgName("simd")->Arg(0)->Arg(1);
 
 /// The emission-means phase of one session (the estimator-bound part of
 /// prepare()): /warm:0 clears the (W, S) cache every iteration (every
@@ -478,9 +453,7 @@ BENCHMARK(BM_EmissionMeansK17)
     ->Args({0, 0})
     ->Args({0, 1})
     ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 0})
-    ->Args({2, 1});
+    ->Args({1, 1});
 
 /// The PR 5 headline: one full forward-backward call *including* the
 /// estimator-driven emission phase, k = 17.
@@ -538,9 +511,7 @@ BENCHMARK(BM_FbWithEstimatorK17)
     ->Args({0, 0})
     ->Args({0, 1})
     ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 0})
-    ->Args({2, 1});
+    ->Args({1, 1});
 
 void BM_TcpDownload(benchmark::State& state) {
   const auto bw = trace::BandwidthTrace::constant(5.0, 100000.0, 5.0);
@@ -638,16 +609,12 @@ BENCHMARK(BM_TraceSpanEnabled);
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): the run context records the
-// *resolved* kernel tiers (what active_ops() dispatches to by default,
-// and whether the opt-in AVX-512 table resolved on this host), so a
-// recorded BENCH_*.json identifies the kernels that actually ran.
+// *resolved* kernel tier (what active_ops() dispatches to by default),
+// so a recorded BENCH_*.json identifies the kernels that actually ran.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("kernels_default", sk::backend_name());
-  benchmark::AddCustomContext(
-      "kernels_avx512",
-      sk::avx512_ops() != nullptr ? sk::avx512_ops()->name : "unavailable");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

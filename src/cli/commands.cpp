@@ -60,20 +60,19 @@ video::Ladder ladder_from_name(const std::string& name) {
 /// The EHMM flags shared by infer and serve.
 core::VeritasConfig config_from_flags(const CommandLine& cmd) {
   core::VeritasConfig cfg;
-  cfg.num_samples = static_cast<std::size_t>(cmd.number("--samples", 5.0));
+  cfg.num_samples = cmd.count("--samples", 5);
   cfg.delta_s = cmd.number("--delta", cfg.delta_s);
   cfg.epsilon_mbps = cmd.number("--epsilon", cfg.epsilon_mbps);
   cfg.sigma_mbps = cmd.number("--sigma", cfg.sigma_mbps);
   cfg.max_mbps = cmd.number("--max-mbps", cfg.max_mbps);
-  cfg.seed = static_cast<std::uint64_t>(cmd.number("--seed", double(cfg.seed)));
-  cfg.precomputed_powers = static_cast<std::size_t>(
-      cmd.number("--powers", double(cfg.precomputed_powers)));
+  cfg.seed = cmd.count("--seed", cfg.seed);
+  cfg.precomputed_powers = cmd.count("--powers", cfg.precomputed_powers);
   return cfg;
 }
 
 int cmd_generate_trace(const CommandLine& cmd, std::ostream& out) {
   const auto family = family_from_name(cmd.get("--family", "fcc_like"));
-  const auto seed = static_cast<std::uint64_t>(cmd.number("--seed", 1.0));
+  const std::uint64_t seed = cmd.count("--seed", 1);
   const std::string path = cmd.require("--out");
   const auto traces = trace::make_traces(family, 1, seed);
   trace::write_csv_file(traces[0], path);
@@ -88,7 +87,7 @@ int cmd_simulate(const CommandLine& cmd, std::ostream& out) {
   const std::string abr_name = cmd.get("--abr", "mpc");
   const double buffer_s = cmd.number("--buffer", 5.0);
   const double rtt_s = cmd.number("--rtt", 0.08);
-  const auto seed = static_cast<std::uint64_t>(cmd.number("--seed", 0.0));
+  const std::uint64_t seed = cmd.count("--seed", 0);
   const std::string log_path = cmd.require("--out");
 
   video::VideoConfig vcfg = video::default_video_config();
@@ -141,7 +140,7 @@ int cmd_replay(const CommandLine& cmd, std::ostream& out) {
   const video::Video video(video::default_video_config());
   const sim::QoeMetrics metrics = query::run_under_setting(
       bandwidth, video, setting, cmd.number("--rtt", 0.08),
-      static_cast<std::uint64_t>(cmd.number("--seed", 0.0)));
+      cmd.count("--seed", 0));
   out << "replay: abr=" << setting.abr
       << " buffer=" << setting.buffer_capacity_s << "s ladder=" << ladder
       << "\n";
@@ -163,12 +162,11 @@ int cmd_whatif(const CommandLine& cmd, std::ostream& out) {
 
   const video::Video video(video::default_video_config());
   core::VeritasConfig cfg;
-  cfg.num_samples = static_cast<std::size_t>(cmd.number("--samples", 5.0));
+  cfg.num_samples = cmd.count("--samples", 5);
   const query::CounterfactualEngine engine(cfg,
                                            cmd.number("--rtt", 0.08));
   const query::WhatIfPrediction p = engine.predict_whatif(
-      log, video, setting,
-      static_cast<std::uint64_t>(cmd.number("--seed", 0.0)));
+      log, video, setting, cmd.count("--seed", 0));
 
   out << "what-if: abr=" << setting.abr
       << " buffer=" << setting.buffer_capacity_s << "s ladder=" << ladder
@@ -201,18 +199,18 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
   VERITAS_EXPECTS(!logs.empty());
 
   service::ServiceOptions options;
-  options.num_threads = static_cast<std::size_t>(cmd.number("--threads", 0.0));
-  options.queue_capacity =
-      static_cast<std::size_t>(cmd.number("--queue", 256.0));
-  options.cache_capacity =
-      static_cast<std::size_t>(cmd.number("--cache", 1024.0));
+  options.num_threads = cmd.count("--threads", 0);
+  options.queue_capacity = cmd.count("--queue", 256);
+  options.cache_capacity = cmd.count("--cache", 1024);
   // Overload controls: bounded admission waits, and optional graceful
   // degradation (stale hits / reduced samples) instead of queueing.
-  options.admission_timeout = std::chrono::milliseconds(
-      static_cast<long>(cmd.number("--admission-timeout-ms", 0.0)));
+  // The bound (~35 years) keeps steady_clock deadline arithmetic from
+  // overflowing.
+  const std::uint64_t admission_ms = cmd.count("--admission-timeout-ms", 0);
+  VERITAS_EXPECTS(admission_ms <= std::uint64_t{1} << 40);
+  options.admission_timeout = std::chrono::milliseconds(admission_ms);
   options.overload.serve_stale_hits = cmd.get("--serve-stale", "0") == "1";
-  options.overload.degraded_num_samples =
-      static_cast<std::size_t>(cmd.number("--degraded-samples", 0.0));
+  options.overload.degraded_num_samples = cmd.count("--degraded-samples", 0);
   // Observability sinks (PR 8): --metrics-out writes one Prometheus
   // text scrape after the run; --trace-out arms span tracing and writes
   // Chrome trace-event JSON (chrome://tracing / Perfetto); a nonzero
@@ -249,11 +247,12 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
   }
   const double deadline_ms = cmd.number("--deadline-ms", 0.0);
 
-  const int repeat = std::max(1, static_cast<int>(cmd.number("--repeat", 2.0)));
+  const std::uint64_t repeat =
+      std::max<std::uint64_t>(1, cmd.count("--repeat", 2));
   out << "serving " << logs.size() << " sessions on shard '" << shard
       << "' over " << service.num_lanes() << " lanes, " << repeat
       << " rounds (kernels: " << math::simd_kernels::backend_name() << ")\n";
-  for (int round = 0; round < repeat; ++round) {
+  for (std::uint64_t round = 0; round < repeat; ++round) {
     const auto start = std::chrono::steady_clock::now();
     if (deadline_ms > 0.0) {
       qopts.deadline = start + std::chrono::microseconds(static_cast<long>(
@@ -367,6 +366,21 @@ double CommandLine::number(const std::string& key, double fallback) const {
       std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc{} || ptr != text.data() + text.size()) {
     throw ContractViolation("option " + key + " is not a number: " + text);
+  }
+  return value;
+}
+
+std::uint64_t CommandLine::count(const std::string& key,
+                                 std::uint64_t fallback) const {
+  const auto it = options.find(key);
+  if (it == options.end()) return fallback;
+  std::uint64_t value = 0;
+  const std::string& text = it->second;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || ptr != text.data() + text.size()) {
+    throw ContractViolation("option " + key +
+                            " is not a non-negative integer: " + text);
   }
   return value;
 }

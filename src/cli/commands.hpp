@@ -12,6 +12,7 @@
 // process); tools/veritas_cli.cpp is a thin main().
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <ostream>
 #include <span>
@@ -30,6 +31,11 @@ struct CommandLine {
 
   /// Numeric option; throws ContractViolation on malformed numbers.
   double number(const std::string& key, double fallback) const;
+
+  /// Non-negative integer option (counts, sizes, seeds); throws
+  /// ContractViolation unless the whole value is a decimal integer that
+  /// fits in 64 bits — so "-1", "nan", "2.5" and "1e3" are rejected.
+  std::uint64_t count(const std::string& key, std::uint64_t fallback) const;
 
   /// Required option; throws ContractViolation when missing.
   std::string require(const std::string& key) const;

@@ -17,26 +17,8 @@ namespace veritas::core {
 using math::kNegInf;
 using math::safe_log;
 
-namespace {
-
 using math::simd_kernels::DeltaTables;
 using math::simd_kernels::KernelOps;
-
-/// Fills `tables` with the padded dense layouts of `view`; false when the
-/// delta fell beyond the precomputed range (callers then run the legacy
-/// strided loops on view.p).
-bool dense_tables(const TransitionModel::PowerView& view,
-                  DeltaTables& tables) {
-  if (view.transposed == nullptr) return false;
-  tables.p = view.p->row_data(0);
-  tables.t = view.transposed->row_data(0);
-  tables.log_p = view.log_p->row_data(0);
-  tables.log_t = view.log_transposed->row_data(0);
-  tables.stride = view.p->col_stride();
-  return true;
-}
-
-}  // namespace
 
 Ehmm::Ehmm(StateSpace space, TransitionModel transition,
            EmissionModel emission, double delta_s,
@@ -453,33 +435,10 @@ void Ehmm::viterbi_from(std::size_t n_obs, Scratch& scratch,
   }
 
   for (std::size_t n = 1; n < n_obs; ++n) {
-    const TransitionModel::PowerView view =
-        transition_.power_view(scratch.deltas[n]);
-    const double* prev = result.scores.row_data(n - 1);
-    double* curr = result.scores.row_data(n);
-    const double* e_n = log_emission.row_data(n);
-    std::uint32_t* back_n = scratch.back.data() + n * stride;
-    DeltaTables tables;
-    if (dense_tables(view, tables)) {
-      ops.viterbi_step(prev, tables, k, e_n, curr, back_n);
-      continue;
-    }
-    // Legacy fallback beyond the precomputed range: strided access with
-    // log computed on the fly (rare; correctness over speed).
-    const math::Matrix& a_delta = *view.p;
-    for (std::size_t i = 0; i < k; ++i) {
-      double best = kNegInf;
-      std::size_t best_prev = 0;
-      for (std::size_t j = 0; j < k; ++j) {
-        const double candidate = prev[j] + safe_log(a_delta(j, i));
-        if (candidate > best) {
-          best = candidate;
-          best_prev = j;
-        }
-      }
-      curr[i] = best + e_n[i];
-      back_n[i] = static_cast<std::uint32_t>(best_prev);
-    }
+    ops.viterbi_step(result.scores.row_data(n - 1),
+                     transition_.power_view(scratch.deltas[n]), k,
+                     log_emission.row_data(n), result.scores.row_data(n),
+                     scratch.back.data() + n * stride);
   }
 
   // Backtrack from the best final state.
@@ -554,22 +513,9 @@ void Ehmm::forward_backward_from(std::size_t n_obs, Scratch& scratch,
       for (std::size_t i = 0; i < k; ++i) alpha0[i] = row[i];
     }
     for (std::size_t n = 1; n < n_obs; ++n) {
-      const TransitionModel::PowerView view =
-          transition_.power_view(scratch.deltas[n]);
-      const double* prev = alpha.row_data(n - 1);
-      const double* em_n = em.row_data(n);
-      DeltaTables tables;
-      if (dense_tables(view, tables)) {
-        ops.forward_step(prev, tables, k, em_n, row.data());
-      } else {
-        // Legacy fallback beyond the precomputed range: strided access.
-        const math::Matrix& a_delta = *view.p;
-        for (std::size_t i = 0; i < k; ++i) {
-          double acc = 0.0;
-          for (std::size_t j = 0; j < k; ++j) acc += prev[j] * a_delta(j, i);
-          row[i] = acc * em_n[i];
-        }
-      }
+      ops.forward_step(alpha.row_data(n - 1),
+                       transition_.power_view(scratch.deltas[n]), k,
+                       em.row_data(n), row.data());
       const double scale = math::normalize(std::span<double>(row.data(), k));
       log_scale[n] = safe_log(scale) + row_max[n];
       double* alpha_n = alpha.row_data(n);
@@ -597,12 +543,6 @@ void Ehmm::forward_backward_from(std::size_t n_obs, Scratch& scratch,
   }
   result.pair_totals.assign(n_obs - 1, 0.0);
   for (std::size_t n = n_obs - 1; n-- > 0;) {
-    const TransitionModel::PowerView view =
-        transition_.power_view(scratch.deltas[n + 1]);
-    const double* em_next = em.row_data(n + 1);
-    const double* beta_next = beta.row_data(n + 1);
-    const double* alpha_n = alpha.row_data(n);
-    double* beta_n = beta.row_data(n);
     // The forward scale at step n+1 was exp(log_scale[n+1]); the scaled
     // beta recursion divides by the same *relative* factor, i.e. the
     // normalizer of the alpha row, so gamma = alpha .* beta normalizes
@@ -610,27 +550,10 @@ void Ehmm::forward_backward_from(std::size_t n_obs, Scratch& scratch,
     // by the alpha-row normalizer only.
     double scale = std::exp(log_scale[n + 1] - row_max[n + 1]);
     if (scale <= 0.0) scale = 1.0;
-    DeltaTables tables;
-    if (dense_tables(view, tables)) {
-      ops.backward_step(tables, k, em_next, beta_next, scale, beta_n,
-                        alpha_n, &result.pair_totals[n]);
-      continue;
-    }
-    // Legacy fallback beyond the precomputed range: strided access, beta
-    // and pair total in the historical separate-accumulator order.
-    const math::Matrix& a_delta = *view.p;
-    double total = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      double acc = 0.0;
-      const double* a_row = a_delta.row_data(i);
-      const double alpha_i = alpha_n[i];
-      for (std::size_t j = 0; j < k; ++j) {
-        acc += a_row[j] * em_next[j] * beta_next[j];
-        total += alpha_i * a_row[j] * em_next[j] * beta_next[j];
-      }
-      beta_n[i] = acc / scale;
-    }
-    result.pair_totals[n] = total;
+    ops.backward_step(transition_.power_view(scratch.deltas[n + 1]), k,
+                      em.row_data(n + 1), beta.row_data(n + 1), scale,
+                      beta.row_data(n), alpha.row_data(n),
+                      &result.pair_totals[n]);
   }
 
   result.log_likelihood = 0.0;
@@ -709,25 +632,14 @@ std::vector<std::size_t> Ehmm::sample_posterior(
     const double total_n = fb.pair_totals[n];
     double total = 0.0;
     if (total_n > 0.0) {
-      const TransitionModel::PowerView view =
-          transition_.power_view(scratch.deltas[n + 1]);
+      const DeltaTables a = transition_.power_view(scratch.deltas[n + 1]);
+      const double* a_col = a.t + next * a.stride;
       const double* alpha_n = scratch.alpha.row_data(n);
       const double em_next = scratch.em(n + 1, next);
       const double beta_next = scratch.beta(n + 1, next);
-      if (view.transposed != nullptr) {
-        const double* a_col = view.transposed->row_data(next);
-        for (std::size_t i = 0; i < k; ++i) {
-          weights[i] =
-              alpha_n[i] * a_col[i] * em_next * beta_next / total_n;
-          total += weights[i];
-        }
-      } else {
-        const math::Matrix& a_delta = *view.p;
-        for (std::size_t i = 0; i < k; ++i) {
-          weights[i] =
-              alpha_n[i] * a_delta(i, next) * em_next * beta_next / total_n;
-          total += weights[i];
-        }
+      for (std::size_t i = 0; i < k; ++i) {
+        weights[i] = alpha_n[i] * a_col[i] * em_next * beta_next / total_n;
+        total += weights[i];
       }
     } else {
       // Degenerate pair: independent marginals.

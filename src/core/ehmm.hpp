@@ -47,8 +47,9 @@ struct SamplerConfig {
 
 class Ehmm {
  public:
-  /// Dense A^Δ table size built at construction; Δ beyond it falls back
-  /// to the TransitionModel's mutex-guarded memo (still correct, slower).
+  /// Dense A^Δ table size built at construction; Δ beyond it is built on
+  /// first use into the TransitionModel's read-mostly memo, in the same
+  /// layout and through the same kernels (identical results).
   static constexpr std::size_t kDefaultPrecomputedPowers = 64;
 
   /// Cap on the multi-window emission span (kMultiWindow estimator).

@@ -12,7 +12,7 @@ namespace veritas::core {
 
 namespace {
 
-Ehmm build_ehmm(const VeritasConfig& config, const EngineOptions& options) {
+Ehmm build_ehmm(const VeritasConfig& config) {
   StateSpace space(config.epsilon_mbps, config.max_mbps);
   TransitionModel transition = [&] {
     switch (config.prior) {
@@ -27,16 +27,13 @@ Ehmm build_ehmm(const VeritasConfig& config, const EngineOptions& options) {
     }
   }();
   EmissionModel emission(config.sigma_mbps, config.tcp, config.estimator);
-  const std::size_t powers = options.precomputed_powers != 0
-                                 ? options.precomputed_powers
-                                 : config.precomputed_powers;
   return Ehmm(std::move(space), std::move(transition), std::move(emission),
-              config.delta_s, powers);
+              config.delta_s, config.precomputed_powers);
 }
 
 }  // namespace
 
-InferenceEngine::InferenceEngine(VeritasConfig config, EngineOptions options)
+InferenceEngine::InferenceEngine(VeritasConfig config)
     : config_([&] {
         VERITAS_EXPECTS(config.delta_s > 0.0);
         VERITAS_EXPECTS(config.epsilon_mbps > 0.0);
@@ -45,7 +42,7 @@ InferenceEngine::InferenceEngine(VeritasConfig config, EngineOptions options)
         VERITAS_EXPECTS(config.num_samples >= 1);
         return config;
       }()),
-      ehmm_(build_ehmm(config_, options)) {
+      ehmm_(build_ehmm(config_)) {
   if (config_.estimator_cache_bytes > 0) {
     EstimatorCache::Config cache_config;
     cache_config.capacity = EstimatorCache::entries_for_bytes(

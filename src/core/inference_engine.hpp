@@ -45,11 +45,12 @@ struct VeritasConfig {
   net::TcpConfig tcp;
   std::uint64_t seed = 1234;
   /// Dense A^Δ power-table size: window deltas below this are served
-  /// lock-free from precomputed (padded) tables; deltas at or beyond it
-  /// fall back to the transition model's mutex-guarded memo with the
-  /// slower strided kernels (see bench_micro_core BM_TransitionPower*).
-  /// Raise it for workloads with long in-session gaps, lower it to trim
-  /// engine build time / memory for short sessions.
+  /// lock-free from tables built with the engine; deltas at or beyond it
+  /// are built in the same layout on first use and served from the
+  /// transition model's read-mostly memo (see bench_micro_core
+  /// BM_TransitionPower*). Results never depend on it: raise it for
+  /// workloads with long in-session gaps, lower it to trim engine build
+  /// time / memory for short sessions.
   std::size_t precomputed_powers = Ehmm::kDefaultPrecomputedPowers;
   /// Byte budget of the engine-owned cross-session (W, S) estimator
   /// cache shared by every scratch the engine serves (see
@@ -78,18 +79,11 @@ struct VeritasResult {
   double log_likelihood = 0.0;                 ///< log P(observations)
 };
 
-/// Engine construction knobs (the config covers the model itself).
-struct EngineOptions {
-  /// Overrides VeritasConfig::precomputed_powers when non-zero; 0 (the
-  /// default) defers to the config.
-  std::size_t precomputed_powers = 0;
-};
-
 class InferenceEngine {
  public:
   /// Builds the immutable model. Validates the config (same contract as
   /// the Veritas facade).
-  explicit InferenceEngine(VeritasConfig config, EngineOptions options = {});
+  explicit InferenceEngine(VeritasConfig config);
 
   const VeritasConfig& config() const noexcept { return config_; }
   const Ehmm& ehmm() const noexcept { return ehmm_; }

@@ -102,38 +102,44 @@ TransitionModel TransitionModel::banded(std::size_t states, std::size_t band,
                          std::vector<double>(states, 1.0 / double(states)));
 }
 
-void TransitionModel::precompute_powers(std::size_t max_delta) {
-  if (dense_.size() > max_delta) return;
+TransitionModel::PowerEntry TransitionModel::make_entry(
+    std::size_t delta) const {
   const std::size_t k = states();
-  // Padded copy: logical entries from `src` (optionally transposed),
+  const math::Matrix power = math::matrix_power(a_, delta);
+  // Padded copy: logical entries from `power` (optionally transposed),
   // pads filled with the operation's neutral element so SIMD kernels can
   // load full lanes past column k.
-  const auto padded = [k](const math::Matrix& src, bool transpose,
-                          bool log_of, double fill) {
+  const auto padded = [k, &power](bool transpose, bool log_of,
+                                  double fill) {
     math::Matrix out;
     out.resize_padded(k, k, fill);
     for (std::size_t i = 0; i < k; ++i) {
       for (std::size_t j = 0; j < k; ++j) {
-        const double v = transpose ? src(j, i) : src(i, j);
+        const double v = transpose ? power(j, i) : power(i, j);
         out(i, j) = log_of ? math::safe_log(v) : v;
       }
     }
     return out;
   };
+  PowerEntry entry;
+  entry.p = padded(false, false, 0.0);
+  entry.transposed = padded(true, false, 0.0);
+  entry.log_p = padded(false, true, math::kNegInf);
+  entry.log_transposed = padded(true, true, math::kNegInf);
+  return entry;
+}
+
+void TransitionModel::precompute_powers(std::size_t max_delta) {
+  if (dense_.size() > max_delta) return;
   dense_.reserve(max_delta + 1);
   for (std::size_t delta = dense_.size(); delta <= max_delta; ++delta) {
-    const math::Matrix power = math::matrix_power(a_, delta);
-    DenseEntry entry;
-    entry.p = padded(power, false, false, 0.0);
-    entry.transposed = padded(power, true, false, 0.0);
-    entry.log_p = padded(power, false, true, math::kNegInf);
-    entry.log_transposed = padded(power, true, true, math::kNegInf);
-    dense_.push_back(std::move(entry));
+    dense_.push_back(make_entry(delta));
   }
 }
 
-const math::Matrix& TransitionModel::power(std::size_t delta) const {
-  if (delta < dense_.size()) return dense_[delta].p;
+const TransitionModel::PowerEntry& TransitionModel::entry(
+    std::size_t delta) const {
+  if (delta < dense_.size()) return dense_[delta];
   // Read-mostly fast path: after a gap length is memoized once, every
   // later lookup shares the lock, so concurrent lanes replaying long-gap
   // sessions don't serialize. std::map node stability keeps the returned
@@ -145,29 +151,29 @@ const math::Matrix& TransitionModel::power(std::size_t delta) const {
   }
   const std::unique_lock lock(overflow_mutex_);
   // Re-check: another thread may have computed this delta between the
-  // two locks; emplace would discard its (identical) matrix anyway, but
+  // two locks; emplace would discard its (identical) entry anyway, but
   // skipping the O(k³ log Δ) matrix_power is the point.
   const auto it = overflow_.find(delta);
   if (it != overflow_.end()) return it->second;
-  const auto [inserted, ok] =
-      overflow_.emplace(delta, math::matrix_power(a_, delta));
+  const auto [inserted, ok] = overflow_.emplace(delta, make_entry(delta));
   VERITAS_ENSURES(ok);
   return inserted->second;
 }
 
-TransitionModel::PowerView TransitionModel::power_view(
+const math::Matrix& TransitionModel::power(std::size_t delta) const {
+  return entry(delta).p;
+}
+
+math::simd_kernels::DeltaTables TransitionModel::power_view(
     std::size_t delta) const {
-  PowerView view;
-  if (delta < dense_.size()) {
-    const DenseEntry& entry = dense_[delta];
-    view.p = &entry.p;
-    view.transposed = &entry.transposed;
-    view.log_p = &entry.log_p;
-    view.log_transposed = &entry.log_transposed;
-  } else {
-    view.p = &power(delta);
-  }
-  return view;
+  const PowerEntry& e = entry(delta);
+  math::simd_kernels::DeltaTables tables;
+  tables.p = e.p.row_data(0);
+  tables.t = e.transposed.row_data(0);
+  tables.log_p = e.log_p.row_data(0);
+  tables.log_t = e.log_transposed.row_data(0);
+  tables.stride = e.p.col_stride();
+  return tables;
 }
 
 }  // namespace veritas::core

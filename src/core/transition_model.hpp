@@ -6,19 +6,21 @@
 // transitions between chunks separated by Δ windows use A^Δ (paper §3.2,
 // "Evolution of the embedded GTBW").
 //
-// Powers are served from a dense immutable table built by
-// precompute_powers(): entry Δ holds A^Δ plus transposed /
-// elementwise-log variants, all with rows padded to the SIMD lane
-// quantum (math::kRowPadDoubles) and pad columns holding neutral
-// elements (0 for probabilities, -inf for logs) so vector kernels can
-// load whole lanes without masking. The scalar recursions consume the
-// transposed layouts with contiguous inner loops; the SIMD recursions
-// stream the untransposed (or, backward, transposed) rows in
-// column blocks. Lookups in the table are lock-free and safe to share
-// across threads; deltas beyond the table fall back to a read-mostly
-// shared_mutex memo (shared-lock hits, exclusive-lock first-compute) so
-// arbitrarily long session gaps stay correct. The table size is
-// configurable per engine (VeritasConfig::precomputed_powers).
+// Every power is served in one layout: A^Δ plus transposed /
+// elementwise-log variants, all with rows padded to the row quantum
+// (math::kRowPadDoubles) and pad columns holding neutral elements (0
+// for probabilities, -inf for logs) so vector kernels can load whole
+// lanes without masking. The scalar recursions consume the transposed
+// layouts with contiguous inner loops; the SIMD recursions stream the
+// untransposed (or, backward, transposed) rows in column blocks.
+// precompute_powers() builds a dense immutable table of these entries
+// for Δ = 0..max, whose lookups are lock-free and safe to share across
+// threads. Deltas beyond the table are built in the same layout on first
+// use and kept in a read-mostly shared_mutex memo (shared-lock hits,
+// exclusive-lock first-compute), so arbitrarily long session gaps run
+// through the same kernels and give the same results. The table size
+// (VeritasConfig::precomputed_powers) therefore only trades memory and
+// build time against lookups; it never changes an inference result.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "math/matrix.hpp"
+#include "math/simd_kernels.hpp"
 
 namespace veritas::core {
 
@@ -74,33 +77,29 @@ class TransitionModel {
   /// Number of dense entries (Δ < precomputed_powers() is lock-free).
   std::size_t precomputed_powers() const noexcept { return dense_.size(); }
 
-  /// A^delta (delta = 0 yields the identity). Lock-free for deltas in the
-  /// precomputed table (rows padded, see above); beyond it, a shared-lock
-  /// memo find with exclusive-lock first-compute (rows unpadded).
+  /// A^delta (delta = 0 yields the identity), rows padded. Lock-free for
+  /// deltas in the precomputed table; beyond it, a shared-lock memo find
+  /// with exclusive-lock first-compute.
   const math::Matrix& power(std::size_t delta) const;
 
-  /// A^delta together with the precomputed transposed / log layouts. The
-  /// non-`p` pointers are null for deltas beyond the dense table
-  /// (callers fall back to the strided / log-on-the-fly loops).
-  struct PowerView {
-    const math::Matrix* p = nullptr;
-    const math::Matrix* transposed = nullptr;      ///< T(i, j) = A^Δ(j, i)
-    const math::Matrix* log_p = nullptr;           ///< log A^Δ(i, j)
-    const math::Matrix* log_transposed = nullptr;  ///< L(i, j) = log A^Δ(j, i)
-  };
-  PowerView power_view(std::size_t delta) const;
+  /// The padded kernel layouts of A^delta (p, transposed, log_p, log_t),
+  /// every pointer non-null for every delta. Same lookup rules as
+  /// power(); the pointers stay valid for the model's lifetime.
+  math::simd_kernels::DeltaTables power_view(std::size_t delta) const;
 
  private:
-  struct DenseEntry {
+  struct PowerEntry {
     math::Matrix p;
-    math::Matrix transposed;
-    math::Matrix log_p;
-    math::Matrix log_transposed;
+    math::Matrix transposed;      ///< T(i, j) = A^Δ(j, i)
+    math::Matrix log_p;           ///< log A^Δ(i, j)
+    math::Matrix log_transposed;  ///< L(i, j) = log A^Δ(j, i)
   };
+  PowerEntry make_entry(std::size_t delta) const;
+  const PowerEntry& entry(std::size_t delta) const;
 
   math::Matrix a_;
   std::vector<double> initial_;
-  std::vector<DenseEntry> dense_;  ///< index = Δ; immutable once built
+  std::vector<PowerEntry> dense_;  ///< index = Δ; immutable once built
   /// Read-mostly memo guard: after a gap length is memoized once, every
   /// later lookup of it is a shared-lock map find, so concurrent serving
   /// lanes replaying long-gap sessions no longer serialize on each
@@ -109,7 +108,7 @@ class TransitionModel {
   mutable std::shared_mutex overflow_mutex_;
   /// Memo for Δ beyond the dense table. std::map: node stability keeps
   /// returned references valid across later insertions.
-  mutable std::map<std::size_t, math::Matrix> overflow_;
+  mutable std::map<std::size_t, PowerEntry> overflow_;
 };
 
 }  // namespace veritas::core

@@ -15,9 +15,11 @@
 
 namespace veritas::math {
 
-/// Row stride quantum (in doubles) for padded matrices. A multiple of
-/// every supported SIMD lane width (scalar 1, SSE2/NEON 2, AVX2 4,
-/// AVX-512 8), so padded rows always hold a whole number of lanes.
+/// Row stride quantum (in doubles) for padded matrices: one 64-byte cache
+/// line. A multiple of every supported SIMD lane width (scalar 1,
+/// SSE2/NEON 2, AVX2 4), so padded rows always hold a whole number of
+/// lanes and the recursion kernels need no partial-lane tail (they
+/// static_assert this).
 inline constexpr std::size_t kRowPadDoubles = 8;
 
 /// `cols` rounded up to the row-pad quantum.

@@ -2,7 +2,6 @@
 //
 // One backend is selected *per translation unit* at compile time:
 //
-//   AVX-512 (8 x double) when the TU is compiled with -mavx512f -mavx512dq
 //   AVX2 (4 x double)  when the TU is compiled with -mavx2 (__AVX2__)
 //   SSE2 (2 x double)  on x86-64 baseline (__SSE2__)
 //   NEON (2 x double)  on AArch64 (__ARM_NEON with 64-bit FP lanes)
@@ -14,18 +13,16 @@
 // be an ODR violation). Do not take their address across TU boundaries;
 // export a table of wrapper functions instead (see math/simd_kernels.*).
 //
-// Arithmetic lane ops (vadd/vsub/vmul/vdiv/vmax) are IEEE-754 exact per
-// lane — a vectorized loop that preserves the scalar per-element
-// operation order is bit-identical to the scalar loop. The one deliberate
-// exception is vmuladd(a, b, c) = a*b + c: on every backend except
-// AVX-512 it is the exact two-rounding mul-then-add (so AVX2/SSE2/NEON
-// kernels stay bit-identical to scalar), while the AVX-512 backend emits
-// a fused multiply-add with a single rounding — which is why the AVX-512
-// kernel tier is opt-in and tolerance-gated rather than bit-exact (see
-// math/simd_kernels.hpp). The transcendental approximations vexp/vlog
-// are Cephes-style rational polynomials accurate to a couple of ulp;
-// they are property-tested against libm in tests/math/simd_test.cpp and
-// their consumers are covered by the SIMD/scalar equivalence suites.
+// Arithmetic lane ops (vadd/vsub/vmul/vdiv/vmax, and vmuladd, which is
+// the two-rounding mul-then-add) are IEEE-754 exact per lane — a
+// vectorized loop that preserves the scalar per-element operation order
+// is bit-identical to the scalar loop. No backend fuses a multiply-add.
+// Every lane width (1, 2 or 4) divides math::kRowPadDoubles, so padded
+// rows are always whole lane blocks and there are no partial-lane loads
+// or stores. The transcendental approximations vexp/vlog are
+// Cephes-style rational polynomials accurate to a couple of ulp; they are
+// property-tested against libm in tests/math/simd_test.cpp and their
+// consumers are covered by the SIMD/scalar equivalence suites.
 #pragma once
 
 #include <cmath>
@@ -44,114 +41,8 @@
 
 namespace veritas::math::simd {
 
-// -------------------------------------------------------------- AVX-512
-// Gated on F+DQ: DQ supplies the mask<->vector moves (movm_epi64 /
-// movepi64_mask) and the 64-bit integer converts (cvtpd_epi64 /
-// cvtepu64_pd) the mask-as-vector interface and vpow2i/vfrexp lean on.
-// Every AVX-512 server core since Skylake-SP ships both.
-#if !defined(VERITAS_SIMD_FORCE_SCALAR) && defined(__AVX512F__) && \
-    defined(__AVX512DQ__)
-#define VERITAS_SIMD_BACKEND_NAME "avx512"
-#define VERITAS_SIMD_BACKEND_AVX512 1
-
-using VecD = __m512d;
-constexpr std::size_t kLanes = 8;
-
-namespace detail {
-/// Compare results travel as all-ones / all-zero vector lanes here like
-/// on every other backend (the kernels blend and combine them freely);
-/// these two hops convert to/from the native __mmask8 at the use sites.
-static inline VecD mask_to_vec(__mmask8 m) {
-  return _mm512_castsi512_pd(_mm512_movm_epi64(m));
-}
-static inline __mmask8 vec_to_mask(VecD v) {
-  return _mm512_movepi64_mask(_mm512_castpd_si512(v));
-}
-}  // namespace detail
-
-static inline VecD vload(const double* p) { return _mm512_loadu_pd(p); }
-static inline void vstore(double* p, VecD v) { _mm512_storeu_pd(p, v); }
-static inline VecD vset1(double x) { return _mm512_set1_pd(x); }
-static inline VecD vzero() { return _mm512_setzero_pd(); }
-static inline VecD vadd(VecD a, VecD b) { return _mm512_add_pd(a, b); }
-static inline VecD vsub(VecD a, VecD b) { return _mm512_sub_pd(a, b); }
-static inline VecD vmul(VecD a, VecD b) { return _mm512_mul_pd(a, b); }
-static inline VecD vdiv(VecD a, VecD b) { return _mm512_div_pd(a, b); }
-static inline VecD vmax(VecD a, VecD b) { return _mm512_max_pd(a, b); }
-static inline VecD vmin(VecD a, VecD b) { return _mm512_min_pd(a, b); }
-static inline VecD vgt(VecD a, VecD b) {
-  return detail::mask_to_vec(_mm512_cmp_pd_mask(a, b, _CMP_GT_OQ));
-}
-static inline VecD vlt(VecD a, VecD b) {
-  return detail::mask_to_vec(_mm512_cmp_pd_mask(a, b, _CMP_LT_OQ));
-}
-static inline VecD veq(VecD a, VecD b) {
-  return detail::mask_to_vec(_mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ));
-}
-static inline VecD vge(VecD a, VecD b) {
-  return detail::mask_to_vec(_mm512_cmp_pd_mask(a, b, _CMP_GE_OQ));
-}
-static inline VecD visnan(VecD a) {
-  return detail::mask_to_vec(_mm512_cmp_pd_mask(a, a, _CMP_NEQ_UQ));
-}
-static inline VecD vand(VecD a, VecD b) { return _mm512_and_pd(a, b); }
-static inline VecD vor(VecD a, VecD b) { return _mm512_or_pd(a, b); }
-static inline VecD vandnot(VecD a, VecD b) {
-  return _mm512_andnot_pd(a, b);
-}
-static inline bool vany(VecD mask) {
-  return detail::vec_to_mask(mask) != 0;
-}
-static inline VecD vblend(VecD a, VecD b, VecD mask) {
-  return _mm512_mask_blend_pd(detail::vec_to_mask(mask), a, b);
-}
-static inline VecD vnearbyint(VecD x) {
-  return _mm512_roundscale_pd(x,
-                              _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-}
-static inline VecD vpow2i(VecD n) {
-  const __m512i n64 = _mm512_cvtpd_epi64(n);
-  const __m512i bits = _mm512_slli_epi64(
-      _mm512_add_epi64(n64, _mm512_set1_epi64(1023)), 52);
-  return _mm512_castsi512_pd(bits);
-}
-static inline VecD vfrexp(VecD x, VecD* e) {
-  const __m512i u = _mm512_castpd_si512(x);
-  const __m512i biased =
-      _mm512_and_si512(_mm512_srli_epi64(u, 52), _mm512_set1_epi64(0x7ff));
-  *e = _mm512_sub_pd(_mm512_cvtepu64_pd(biased), _mm512_set1_pd(1022.0));
-  const __m512i mant = _mm512_or_si512(
-      _mm512_and_si512(u, _mm512_set1_epi64(0x000FFFFFFFFFFFFFll)),
-      _mm512_castpd_si512(_mm512_set1_pd(0.5)));
-  return _mm512_castsi512_pd(mant);
-}
-/// a*b + c with a single rounding — the only lane op that is not
-/// bit-identical to the scalar two-rounding expression (see the header
-/// comment; every other backend computes the exact mul-then-add).
-static inline VecD vmuladd(VecD a, VecD b, VecD c) {
-  return _mm512_fmadd_pd(a, b, c);
-}
-static inline VecD vfloor(VecD x) {
-  return _mm512_roundscale_pd(x, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
-}
-static inline VecD vceil(VecD x) {
-  return _mm512_roundscale_pd(x, _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
-}
-static inline VecD vsqrt(VecD x) { return _mm512_sqrt_pd(x); }
-/// Masked load of the first n lanes (n in [1, kLanes]); the rest read 0.
-/// Never touches memory past p[n-1].
-static inline VecD vloadn(const double* p, std::size_t n) {
-  const __mmask8 m = static_cast<__mmask8>((1u << n) - 1u);
-  return _mm512_maskz_loadu_pd(m, p);
-}
-/// Masked store of the first n lanes; memory past p[n-1] is untouched.
-static inline void vstoren(double* p, VecD v, std::size_t n) {
-  const __mmask8 m = static_cast<__mmask8>((1u << n) - 1u);
-  _mm512_mask_storeu_pd(p, m, v);
-}
-
 // ----------------------------------------------------------------- AVX2
-#elif !defined(VERITAS_SIMD_FORCE_SCALAR) && defined(__AVX2__)
+#if !defined(VERITAS_SIMD_FORCE_SCALAR) && defined(__AVX2__)
 #define VERITAS_SIMD_BACKEND_NAME "avx2"
 #define VERITAS_SIMD_BACKEND_AVX2 1
 
@@ -440,31 +331,14 @@ static inline VecD vsqrt(VecD x) { return std::sqrt(x); }
 
 // ----------------------------------------------- backend-generic pieces
 
-#ifndef VERITAS_SIMD_BACKEND_AVX512
-/// a*b + c as the exact two-rounding mul-then-add: on every backend but
-/// AVX-512 this is literally vadd(vmul(a, b), c) — intrinsic mul/add
-/// pairs are never contracted by the compiler, and the kernel TUs pin
-/// -ffp-contract=off for their scalar tails — so kernels written with
-/// vmuladd stay bit-identical to the scalar reference here. The AVX-512
-/// backend (above) overrides this with a true fused multiply-add.
+/// a*b + c as the exact two-rounding mul-then-add: literally
+/// vadd(vmul(a, b), c). Intrinsic mul/add pairs are never contracted by
+/// the compiler, and the kernel TUs pin -ffp-contract=off for their
+/// scalar tails, so kernels written with vmuladd stay bit-identical to
+/// the scalar reference on every backend.
 static inline VecD vmuladd(VecD a, VecD b, VecD c) {
   return vadd(vmul(a, b), c);
 }
-/// Partial-lane load/store for row tails that are not a multiple of the
-/// lane width (only reachable when kLanes exceeds math::kRowPadDoubles,
-/// i.e. on AVX-512, which uses native masked moves instead). Lanes past
-/// n read 0 / are not written; memory past p[n-1] is never touched.
-static inline VecD vloadn(const double* p, std::size_t n) {
-  double buf[kLanes];
-  for (std::size_t i = 0; i < kLanes; ++i) buf[i] = i < n ? p[i] : 0.0;
-  return vload(buf);
-}
-static inline void vstoren(double* p, VecD v, std::size_t n) {
-  double buf[kLanes];
-  vstore(buf, v);
-  for (std::size_t i = 0; i < n; ++i) p[i] = buf[i];
-}
-#endif
 
 // ------------------------------------------------------- transcendentals
 
@@ -483,10 +357,7 @@ static inline VecD vexp(VecD x) {
   r = vsub(r, vmul(n, c2));
   const VecD rr = vmul(r, r);
 
-  // polevl(rr, P) and polevl(rr, Q) from Cephes exp.c. (vmuladd keeps
-  // the two-rounding order everywhere except AVX-512, where the fused
-  // form shifts the approximation by sub-ulp amounts — still inside the
-  // suite's exp tolerance.)
+  // polevl(rr, P) and polevl(rr, Q) from Cephes exp.c.
   VecD p = vset1(1.26177193074810590878e-4);
   p = vmuladd(p, rr, vset1(3.02994407707441961300e-2));
   p = vmuladd(p, rr, vset1(9.99999999999999999910e-1));

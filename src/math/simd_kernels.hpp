@@ -1,6 +1,6 @@
 // Runtime-dispatched kernel table for the EHMM hot loops.
 //
-// Three implementations of the same KernelOps interface ship in every
+// Two implementations of the same KernelOps interface ship in every
 // binary:
 //
 //   * scalar_ops() — the reference loops, compiled with baseline flags in
@@ -12,32 +12,21 @@
 //     compiler supports (-mavx2 on x86 when available, NEON on AArch64).
 //     nullptr when the build disabled SIMD (-DVERITAS_SIMD=OFF) or the
 //     running CPU lacks the compiled ISA (checked once via cpuid).
-//   * avx512_ops() — the same shared kernel body compiled with
-//     -mavx512f -mavx512dq in math/simd_kernels_avx512.cpp: 8 lanes and
-//     a true fused multiply-add in the forward/backward/pair
-//     accumulations and the vexp/vlog polynomials. FMA's single
-//     rounding breaks the bit-identity contract below, so this tier is
-//     strictly OPT-IN (VERITAS_SIMD=avx512 or Mode::kForceAvx512 —
-//     never selected by plain kAuto) and is gated by the
-//     kernel-equivalence suite's explicit tolerances (posteriors within
-//     1e-12 of scalar) rather than bitwise equality. Viterbi, the
-//     emission log-pdf row, and estimate_batch avoid FMA and stay
-//     bit-identical even on this tier. nullptr when the toolchain lacks
-//     the flags, the build disabled SIMD, or the CPU lacks AVX-512F+DQ.
 //
+// Every EHMM recursion step runs through exactly one of these tables —
+// there is no other code path, whatever the gap Δ between chunks.
 // Because the SIMD recursions vectorize across outputs and broadcast the
 // sequential input, each output's accumulation order matches the scalar
 // loop and the viterbi/forward/backward kernels are bit-identical to
-// scalar_ops() on the default tier. Only exp_rows/log_rows (polynomial
-// approximations, ~2 ulp) and pair_total (lane-reassociated global sum)
-// differ, within the tolerances tested in
+// scalar_ops(). Only exp_rows/log_rows (polynomial approximations,
+// ~2 ulp) and backward_step's fused pair total (lane-reassociated global
+// sum) differ, within the tolerances tested in
 // tests/core/kernel_equivalence_test.cpp.
 //
 // Dispatch: active_ops() resolves simd_ops() when available, unless the
 // process-global mode (set_mode / ScopedMode, used by tests and benches)
 // or the VERITAS_SIMD environment variable ("off" / "scalar" / "0")
-// forces the scalar table, or VERITAS_SIMD=avx512 requests the AVX-512
-// tier (falling back to simd, then scalar, when it is unavailable).
+// forces the scalar table.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +37,6 @@ namespace veritas::math::simd_kernels {
 /// CPU feature bits a kernel table needs at run time.
 inline constexpr unsigned kCpuBaseline = 0;
 inline constexpr unsigned kCpuAvx2 = 1u << 0;
-inline constexpr unsigned kCpuAvx512 = 1u << 1;  ///< AVX-512 F + DQ
 
 /// Padded row-major views of one transition power A^Δ (see
 /// core/transition_model.hpp). All four tables share `stride`, a multiple
@@ -85,7 +73,7 @@ struct TcpBatchParams {
 /// One table of kernel entry points. All row pointers refer to padded
 /// rows (stride multiple of math::kRowPadDoubles) unless noted.
 struct KernelOps {
-  const char* name = "";  ///< "scalar", "avx512", "avx2", "sse2", "neon"
+  const char* name = "";  ///< "scalar", "avx2", "sse2", "neon"
   unsigned cpu_features = kCpuBaseline;
 
   /// Batched emission log-density: out[i] = log Normal(y; means[i], σ)
@@ -125,24 +113,16 @@ struct KernelOps {
   /// One backward step: beta_n[i] = (Σ_j A^Δ(i, j) em_next[j]
   /// beta_next[j]) / scale, per-term order ((a·em)·beta), ascending j.
   /// Bit-identical between scalar and SIMD tables. Pads end up 0.
-  /// When pair_total is non-null, additionally accumulates the pair
-  /// posterior normalizer Σ_{i,j} alpha_n[i] A^Δ(i,j) em_next[j]
-  /// beta_next[j] into *pair_total in the same sweep (the unscaled
-  /// backward dot reused — one stream over A^Δ instead of two). The
-  /// scalar table keeps the historical i-major j-minor term order
-  /// (bit-identical to a separate pass); the SIMD table reassociates the
-  /// sum across lanes (ulp-level difference).
+  /// Also writes the pair posterior normalizer Σ_{i,j} alpha_n[i]
+  /// A^Δ(i,j) em_next[j] beta_next[j] to *pair_total from the same sweep
+  /// (the unscaled backward dot reused — one stream over A^Δ instead of
+  /// two). The scalar table keeps the historical i-major j-minor term
+  /// order; the SIMD table reassociates the sum across lanes (ulp-level
+  /// difference). alpha_n and pair_total must be non-null.
   void (*backward_step)(const DeltaTables& a, std::size_t k,
                         const double* em_next, const double* beta_next,
                         double scale, double* beta_n, const double* alpha_n,
                         double* pair_total);
-
-  /// Pair-posterior normalizer Σ_{i,j} alpha[i] A^Δ(i,j) em_next[j]
-  /// beta_next[j]. The SIMD table reassociates the global sum across
-  /// lanes (ulp-level difference from scalar).
-  double (*pair_total)(const double* alpha_n, const DeltaTables& a,
-                       std::size_t k, const double* em_next,
-                       const double* beta_next);
 
   /// Batched TCP throughput estimator f across the candidate dimension:
   /// out[i] = f(candidates[i], W, S) for i < k, *bit-identical* to k
@@ -169,25 +149,18 @@ const KernelOps& scalar_ops();
 /// lacks the compiled ISA. Stable for the process lifetime.
 const KernelOps* simd_ops();
 
-/// The opt-in AVX-512/FMA table, or nullptr when the toolchain could not
-/// compile it, SIMD is compiled out, or the CPU lacks AVX-512F+DQ.
-/// Stable for the process lifetime. Never selected by plain kAuto.
-const KernelOps* avx512_ops();
-
 /// The table the EHMM should use right now (mode / env / CPU resolved).
 const KernelOps& active_ops();
 
 /// Name of the table active_ops() currently returns — the *resolved*
-/// kernel tier ("scalar" / "sse2" / "neon" / "avx2" / "avx512"), not the
+/// kernel tier ("scalar" / "sse2" / "neon" / "avx2"), not the
 /// compile switch; serve/bench output records this.
 const char* backend_name();
 
 enum class Mode {
-  kAuto,          ///< simd when available (default; env var may veto or
-                  ///< opt into avx512)
+  kAuto,          ///< simd when available (default; env var may veto)
   kForceScalar,   ///< reference loops regardless of CPU
   kForceSimd,     ///< simd_ops() even if env said off (no-op when null)
-  kForceAvx512,   ///< avx512_ops(), falling back to simd then scalar
 };
 Mode mode() noexcept;
 void set_mode(Mode m) noexcept;
@@ -209,10 +182,6 @@ namespace detail {
 /// nullptr when VERITAS_SIMD_DISABLED. Constant-initialized data — safe
 /// to read on any CPU (the dispatcher checks cpu_features before use).
 extern const KernelOps* const compiled_simd_table;
-/// Defined in math/simd_kernels_avx512.cpp: the compiled AVX-512 table,
-/// or nullptr when the toolchain lacks -mavx512f/-mavx512dq or
-/// VERITAS_SIMD_DISABLED. Same constant-initialized safety contract.
-extern const KernelOps* const compiled_avx512_table;
 }  // namespace detail
 
 }  // namespace veritas::math::simd_kernels

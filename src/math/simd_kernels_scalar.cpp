@@ -70,17 +70,6 @@ void backward_step_scalar(const DeltaTables& a, std::size_t k,
                           const double* em_next, const double* beta_next,
                           double scale, double* beta_n, const double* alpha_n,
                           double* pair_total) {
-  if (alpha_n == nullptr || pair_total == nullptr) {
-    for (std::size_t i = 0; i < k; ++i) {
-      double acc = 0.0;
-      const double* a_row = a.p + i * a.stride;
-      for (std::size_t j = 0; j < k; ++j) {
-        acc += a_row[j] * em_next[j] * beta_next[j];
-      }
-      beta_n[i] = acc / scale;
-    }
-    return;
-  }
   // Fused pair-normalizer: same term expression and i-major j-minor
   // order as the historical standalone pair pass — bit-identical to it —
   // but computed in the same sweep over A^Δ as the beta recursion.
@@ -98,20 +87,6 @@ void backward_step_scalar(const DeltaTables& a, std::size_t k,
   *pair_total = total;
 }
 
-double pair_total_scalar(const double* alpha_n, const DeltaTables& a,
-                         std::size_t k, const double* em_next,
-                         const double* beta_next) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const double* a_row = a.p + i * a.stride;
-    const double alpha_i = alpha_n[i];
-    for (std::size_t j = 0; j < k; ++j) {
-      total += alpha_i * a_row[j] * em_next[j] * beta_next[j];
-    }
-  }
-  return total;
-}
-
 constexpr KernelOps kScalarOps = {
     "scalar",
     kCpuBaseline,
@@ -121,7 +96,6 @@ constexpr KernelOps kScalarOps = {
     &viterbi_step_scalar,
     &forward_step_scalar,
     &backward_step_scalar,
-    &pair_total_scalar,
     // estimate_batch: null — the scalar reference for a batch is the
     // per-candidate loop over net::estimate_throughput_mbps, run by
     // net::estimate_throughput_batch itself (see KernelOps doc).
@@ -138,16 +112,6 @@ bool cpu_supports(unsigned features) {
     return false;
 #endif
   }
-  if (features & kCpuAvx512) {
-#if defined(__x86_64__) || defined(__i386__)
-    if (__builtin_cpu_supports("avx512f") == 0 ||
-        __builtin_cpu_supports("avx512dq") == 0) {
-      return false;
-    }
-#else
-    return false;
-#endif
-  }
   return true;
 }
 
@@ -156,16 +120,6 @@ bool env_forces_scalar() {
   if (value == nullptr) return false;
   return std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
          std::strcmp(value, "OFF") == 0 || std::strcmp(value, "scalar") == 0;
-}
-
-// The AVX-512/FMA tier is strictly opt-in: plain kAuto never selects it
-// (its fused multiply-adds break the default dispatch's bit-identity
-// contract), but VERITAS_SIMD=avx512 requests it for the whole process.
-bool env_requests_avx512() {
-  const char* value = std::getenv("VERITAS_SIMD");
-  if (value == nullptr) return false;
-  return std::strcmp(value, "avx512") == 0 ||
-         std::strcmp(value, "AVX512") == 0;
 }
 
 const KernelOps* resolve_table(const KernelOps* table) {
@@ -185,12 +139,6 @@ const KernelOps* simd_ops() {
   return table;
 }
 
-const KernelOps* avx512_ops() {
-  static const KernelOps* const table =
-      resolve_table(detail::compiled_avx512_table);
-  return table;
-}
-
 Mode mode() noexcept { return g_mode.load(std::memory_order_relaxed); }
 void set_mode(Mode m) noexcept {
   g_mode.store(m, std::memory_order_relaxed);
@@ -204,22 +152,11 @@ const KernelOps& active_ops() {
       const KernelOps* simd = simd_ops();
       return simd != nullptr ? *simd : kScalarOps;
     }
-    case Mode::kForceAvx512: {
-      const KernelOps* avx512 = avx512_ops();
-      if (avx512 != nullptr) return *avx512;
-      const KernelOps* simd = simd_ops();
-      return simd != nullptr ? *simd : kScalarOps;
-    }
     case Mode::kAuto:
       break;
   }
   static const bool env_scalar = env_forces_scalar();
   if (env_scalar) return kScalarOps;
-  static const bool env_avx512 = env_requests_avx512();
-  if (env_avx512) {
-    const KernelOps* avx512 = avx512_ops();
-    if (avx512 != nullptr) return *avx512;
-  }
   const KernelOps* simd = simd_ops();
   return simd != nullptr ? *simd : kScalarOps;
 }

@@ -1,11 +1,9 @@
-// Default-tier vectorized kernel table. This TU is compiled with the
-// strongest *bit-exact* SIMD flags the toolchain offers (CMake adds
-// -mavx2 -ffp-contract=off on x86 when available; AArch64 gets NEON by
-// default), so math/simd.hpp picks the widest non-FMA backend here and
-// the shared kernel body (math/simd_kernels_body.inc) stays
-// bit-identical to the scalar reference for the recursions. The opt-in
-// AVX-512/FMA tier compiles the same body in
-// math/simd_kernels_avx512.cpp. The dispatcher
+// Vectorized kernel table. This TU is compiled with the strongest
+// *bit-exact* SIMD flags the toolchain offers (CMake adds -mavx2
+// -ffp-contract=off on x86 when available; AArch64 gets NEON by
+// default), so math/simd.hpp picks the widest backend here and the
+// kernel body (math/simd_kernels_body.inc) stays bit-identical to the
+// scalar reference for the recursions. The dispatcher
 // (simd_kernels_scalar.cpp) only routes calls into this TU after
 // checking the table's cpu_features against the running CPU, and this
 // TU exposes nothing but constant-initialized data, so merely linking
@@ -19,6 +17,7 @@
 #include <cstddef>
 #include <limits>
 
+#include "math/matrix.hpp"
 #include "math/simd.hpp"
 
 namespace veritas::math::simd_kernels {

@@ -57,12 +57,11 @@ VeritasService::~VeritasService() {
 // --------------------------------------------------------------- registry
 
 std::uint64_t VeritasService::add_shard(const std::string& name,
-                                        const core::VeritasConfig& config,
-                                        core::EngineOptions engine_options) {
+                                        const core::VeritasConfig& config) {
   // Build outside the lock: engine construction precomputes the A^Δ and
   // span tables and can take milliseconds.
-  return add_shard(name, std::make_shared<const core::InferenceEngine>(
-                             config, engine_options));
+  return add_shard(name,
+                   std::make_shared<const core::InferenceEngine>(config));
 }
 
 std::uint64_t VeritasService::add_shard(
@@ -91,12 +90,11 @@ std::uint64_t VeritasService::add_shard(
 }
 
 std::uint64_t VeritasService::swap_shard(const std::string& name,
-                                         const core::VeritasConfig& config,
-                                         core::EngineOptions engine_options) {
+                                         const core::VeritasConfig& config) {
   // Build first (slow), then replace under one lock hold: a concurrent
   // remove_shard can never interleave and be silently undone.
   auto veritas = std::make_shared<const core::Veritas>(
-      std::make_shared<const core::InferenceEngine>(config, engine_options));
+      std::make_shared<const core::InferenceEngine>(config));
   // Injected between build and publish: a failed swap must leave the
   // shard serving the old engine at the old epoch.
   if (VERITAS_FAILPOINT("service.shard.swap")) {

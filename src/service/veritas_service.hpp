@@ -283,8 +283,7 @@ class VeritasService {
   /// this service. Engine construction happens outside the registry
   /// lock, so serving is not stalled by a build.
   std::uint64_t add_shard(const std::string& name,
-                          const core::VeritasConfig& config,
-                          core::EngineOptions engine_options = {});
+                          const core::VeritasConfig& config);
 
   /// Registers a shard around an engine built elsewhere (non-null).
   std::uint64_t add_shard(const std::string& name,
@@ -296,8 +295,7 @@ class VeritasService {
   /// keep the engine they resolved at submit time. Requires the shard
   /// to exist.
   std::uint64_t swap_shard(const std::string& name,
-                           const core::VeritasConfig& config,
-                           core::EngineOptions engine_options = {});
+                           const core::VeritasConfig& config);
 
   /// Unregisters `name`; in-flight queries finish on the old engine.
   /// Returns false when no such shard exists.

@@ -67,6 +67,52 @@ TEST_F(CliTest, NumberOptionValidation) {
   EXPECT_THROW(cmd.number("--n", 0.0), ContractViolation);
 }
 
+TEST_F(CliTest, CountOptionValidation) {
+  const std::vector<std::string> args{"x", "--n", "42", "--big",
+                                      "18446744073709551615"};
+  const CommandLine cmd = parse_command_line(args);
+  EXPECT_EQ(cmd.count("--n", 0), 42u);
+  EXPECT_EQ(cmd.count("--big", 0), 18446744073709551615ull);
+  EXPECT_EQ(cmd.count("--missing", 7), 7u);
+  for (const char* bad :
+       {"-1", "nan", "2.5", "1e3", "", " 3", "3 ", "+3", "abc",
+        "18446744073709551616"}) {
+    const std::vector<std::string> bad_args{"x", "--n", bad};
+    EXPECT_THROW(parse_command_line(bad_args).count("--n", 0),
+                 ContractViolation)
+        << "'" << bad << "'";
+  }
+}
+
+TEST_F(CliTest, IntegerFlagsRejectNonIntegers) {
+  ASSERT_EQ(run({"generate-trace", "--out", path("gt.csv")}), 0);
+  ASSERT_EQ(run({"simulate", "--trace", path("gt.csv"), "--out",
+                 path("log.csv")}),
+            0);
+  // Each value exits non-zero with a message naming the flag, before any
+  // work is done.
+  for (const char* bad : {"-1", "nan", "2.5"}) {
+    for (const char* flag : {"--powers", "--samples", "--seed"}) {
+      EXPECT_EQ(run({"infer", "--log", path("log.csv"), "--out-prefix",
+                     path("inf"), flag, bad}),
+                1)
+          << flag << " " << bad;
+      EXPECT_NE(err_.str().find(flag), std::string::npos) << err_.str();
+      EXPECT_NE(err_.str().find("not a non-negative integer"),
+                std::string::npos)
+          << err_.str();
+    }
+    EXPECT_EQ(run({"serve", "--logs", path("log.csv"), "--repeat", bad}), 1)
+        << bad;
+    EXPECT_NE(err_.str().find("--repeat"), std::string::npos) << err_.str();
+    EXPECT_EQ(run({"generate-trace", "--out", path("gt2.csv"), "--seed",
+                   bad}),
+              1)
+        << bad;
+    EXPECT_FALSE(fs::exists(path("gt2.csv")));
+  }
+}
+
 TEST_F(CliTest, HelpAndUnknownCommand) {
   EXPECT_EQ(run({"help"}), 0);
   EXPECT_NE(out_.str().find("generate-trace"), std::string::npos);

@@ -158,14 +158,14 @@ TEST(InferenceEngine, BatchOfEmptySetIsEmpty) {
 }
 
 TEST(InferenceEngine, SmallPowerTableFallsBackBitExactly) {
-  // Deltas beyond the dense table go through the mutex-guarded memo and
-  // the strided/log-on-the-fly recursion loops; results must not change.
+  // Deltas beyond the dense table are served from the transition model's
+  // memo in the same layout and run the same kernels; results must not
+  // change.
   const sim::SessionLog log = shared_log();
-  VeritasConfig cfg;
-  EngineOptions tiny;
+  VeritasConfig tiny;
   tiny.precomputed_powers = 1;  // only A^0 and A^1 are dense
-  const InferenceEngine small(cfg, tiny);
-  const InferenceEngine big(cfg);
+  const InferenceEngine small(tiny);
+  const InferenceEngine big(VeritasConfig{});
   const auto observations = observations_from_log(log);
 
   const auto pass_small = small.infer_session(observations);

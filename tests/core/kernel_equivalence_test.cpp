@@ -5,19 +5,15 @@
 //    kernels vectorize across outputs and broadcast the sequential
 //    input, preserving each output's accumulation order); the fused
 //    pair-posterior normalizer and exp rows agree within tight
-//    tolerances. Non-lane-multiple k exercises the padded tail columns.
+//    tolerances. Non-lane-multiple k exercises the padded pad columns.
 //  * Ehmm level, k ∈ {3, 8, 17, 32}: identical Viterbi paths, scores
 //    and backpointer-driven decisions, posteriors within 1e-9 (observed
 //    ~1e-13: only the exp approximation and the pair reduction differ),
 //    at 1 and 4 inference threads.
-//  * the configurable A^Δ precompute window: a tiny dense table plus
-//    the mutex-guarded fallback must reproduce the full-table results
-//    bit-for-bit.
-//  * the opt-in AVX-512/FMA tier (PR 7): FMA-free kernels (viterbi,
-//    emission rows, estimate_batch) bit-identical to scalar; fused
-//    recursions and posteriors within the 1e-12 gate; dispatch
-//    resolution (kAuto never picks it, kForceAvx512 falls back when
-//    absent) reported truthfully by backend_name().
+//  * the configurable A^Δ precompute window: deltas beyond the dense
+//    table run through the same kernels on memoized entries, so every
+//    inference result is bit-identical across window sizes on both
+//    tiers.
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -42,7 +38,6 @@ using core::ChunkObservation;
 using core::Ehmm;
 
 bool simd_available() { return sk::simd_ops() != nullptr; }
-bool avx512_available() { return sk::avx512_ops() != nullptr; }
 
 /// Random row-stochastic transition over k states (k = 1 allowed).
 core::TransitionModel random_transition(std::size_t k, std::uint64_t seed) {
@@ -65,19 +60,6 @@ core::TransitionModel random_transition(std::size_t k, std::uint64_t seed) {
   return core::TransitionModel(std::move(a), std::move(initial));
 }
 
-/// Padded dense tables of A^Δ for the raw kernel harness.
-sk::DeltaTables tables_of(const core::TransitionModel& model,
-                          std::size_t delta) {
-  const core::TransitionModel::PowerView view = model.power_view(delta);
-  sk::DeltaTables t;
-  t.p = view.p->row_data(0);
-  t.t = view.transposed->row_data(0);
-  t.log_p = view.log_p->row_data(0);
-  t.log_t = view.log_transposed->row_data(0);
-  t.stride = view.p->col_stride();
-  return t;
-}
-
 /// Padded random row: logical entries from dist, pads = `pad`.
 std::vector<double> padded_row(std::size_t k, double pad, std::mt19937_64& rng,
                                double lo, double hi) {
@@ -95,7 +77,7 @@ TEST_P(KernelEquivalence, RawKernelsMatchScalar) {
   const std::size_t stride = math::padded_cols(k);
   core::TransitionModel model = random_transition(k, 100 + k);
   model.precompute_powers(4);
-  const sk::DeltaTables tables = tables_of(model, 2);
+  const sk::DeltaTables tables = model.power_view(2);
   ASSERT_EQ(tables.stride, stride);
 
   const sk::KernelOps& scalar = sk::scalar_ops();
@@ -149,10 +131,6 @@ TEST_P(KernelEquivalence, RawKernelsMatchScalar) {
       EXPECT_EQ(beta_a[i], beta_b[i]) << "k=" << k << " i=" << i;
     }
     EXPECT_NEAR(pair_a, pair_b, 1e-12 * std::max(1.0, std::abs(pair_a)));
-    // Standalone pair kernel agrees with the fused accumulation.
-    const double pair_c =
-        simd.pair_total(alpha.data(), tables, k, em.data(), beta.data());
-    EXPECT_NEAR(pair_b, pair_c, 1e-12 * std::max(1.0, std::abs(pair_b)));
 
     // exp rows (full padded stride, -inf pads -> exact 0).
     std::vector<double> em_a(stride, -1.0), em_b(stride, -1.0);
@@ -168,107 +146,6 @@ TEST_P(KernelEquivalence, RawKernelsMatchScalar) {
 
 INSTANTIATE_TEST_SUITE_P(StateCounts, KernelEquivalence,
                          ::testing::Values(1, 3, 8, 17, 32));
-
-// The opt-in AVX-512 tier: the FMA-free kernels (viterbi, emission
-// log-pdf row) stay *bit-identical* to the scalar reference; the fused
-// sum-product recursions (forward / backward / pair total) and the
-// transcendental rows agree within the advertised 1e-12 relative gate.
-TEST_P(KernelEquivalence, Avx512RawKernelsWithinGate) {
-  if (!avx512_available()) {
-    GTEST_SKIP() << "no AVX-512 table in this build/CPU";
-  }
-  const std::size_t k = GetParam();
-  const std::size_t stride = math::padded_cols(k);
-  core::TransitionModel model = random_transition(k, 500 + k);
-  model.precompute_powers(4);
-  const sk::DeltaTables tables = tables_of(model, 2);
-
-  const sk::KernelOps& scalar = sk::scalar_ops();
-  const sk::KernelOps& avx = *sk::avx512_ops();
-  std::mt19937_64 rng(1300 + k);
-
-  const double sigma = 0.75;
-  const double log_sigma = std::log(sigma);
-  const double half_log_2pi = 0.5 * std::log(8.0 * std::atan(1.0));
-
-  for (int round = 0; round < 25; ++round) {
-    const std::vector<double> prev_log =
-        padded_row(k, -std::numeric_limits<double>::infinity(), rng, -40.0,
-                   0.0);
-    const std::vector<double> e_n =
-        padded_row(k, -std::numeric_limits<double>::infinity(), rng, -40.0,
-                   0.0);
-    const std::vector<double> prev_prob = padded_row(k, 0.0, rng, 0.0, 1.0);
-    const std::vector<double> em = padded_row(k, 0.0, rng, 0.0, 1.0);
-    const std::vector<double> beta = padded_row(k, 0.0, rng, 0.0, 2.0);
-    const std::vector<double> alpha = padded_row(k, 0.0, rng, 0.0, 1.0);
-    const std::vector<double> means = padded_row(k, 0.0, rng, 0.0, 12.0);
-
-    // Viterbi: max-plus has no mul-add to fuse — bit-identical.
-    std::vector<double> curr_a(stride, 0.0), curr_b(stride, 0.0);
-    std::vector<std::uint32_t> back_a(stride, 0), back_b(stride, 0);
-    scalar.viterbi_step(prev_log.data(), tables, k, e_n.data(),
-                        curr_a.data(), back_a.data());
-    avx.viterbi_step(prev_log.data(), tables, k, e_n.data(), curr_b.data(),
-                     back_b.data());
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(curr_a[i], curr_b[i]) << "k=" << k << " i=" << i;
-      EXPECT_EQ(back_a[i], back_b[i]) << "k=" << k << " i=" << i;
-    }
-
-    // Emission log-pdf row: FMA-free — bit-identical (unpadded input
-    // row, the zero-copy cache path's shape).
-    std::vector<double> erow_a(stride, -1.0), erow_b(stride, -1.0);
-    scalar.emission_log_pdf_row(1.875, means.data(), k, stride, sigma,
-                                log_sigma, half_log_2pi, erow_a.data());
-    avx.emission_log_pdf_row(1.875, means.data(), k, stride, sigma,
-                             log_sigma, half_log_2pi, erow_b.data());
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(erow_a[i], erow_b[i]) << "k=" << k << " i=" << i;
-    }
-    for (std::size_t i = k; i < stride; ++i) {
-      EXPECT_EQ(erow_b[i], -std::numeric_limits<double>::infinity());
-    }
-
-    // Forward: the fused vmuladd reassociates one rounding per term.
-    std::vector<double> row_a(stride, 0.0), row_b(stride, 0.0);
-    scalar.forward_step(prev_prob.data(), tables, k, em.data(),
-                        row_a.data());
-    avx.forward_step(prev_prob.data(), tables, k, em.data(), row_b.data());
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_NEAR(row_a[i], row_b[i],
-                  1e-12 * std::max(1.0, std::abs(row_a[i])))
-          << "k=" << k << " i=" << i;
-    }
-
-    // Backward + pair total: same gate.
-    std::vector<double> beta_a(stride, 0.0), beta_b(stride, 0.0);
-    double pair_a = 0.0, pair_b = 0.0;
-    scalar.backward_step(tables, k, em.data(), beta.data(), 1.375,
-                         beta_a.data(), alpha.data(), &pair_a);
-    avx.backward_step(tables, k, em.data(), beta.data(), 1.375,
-                      beta_b.data(), alpha.data(), &pair_b);
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_NEAR(beta_a[i], beta_b[i],
-                  1e-12 * std::max(1.0, std::abs(beta_a[i])))
-          << "k=" << k << " i=" << i;
-    }
-    EXPECT_NEAR(pair_a, pair_b, 1e-12 * std::max(1.0, std::abs(pair_a)));
-    const double pair_c =
-        avx.pair_total(alpha.data(), tables, k, em.data(), beta.data());
-    EXPECT_NEAR(pair_b, pair_c, 1e-12 * std::max(1.0, std::abs(pair_b)));
-
-    // exp rows: same Cephes polynomial, fused inner steps.
-    std::vector<double> em_a(stride, -1.0), em_b(stride, -1.0);
-    scalar.exp_rows(e_n.data(), -3.0, stride, em_a.data());
-    avx.exp_rows(e_n.data(), -3.0, stride, em_b.data());
-    for (std::size_t i = 0; i < stride; ++i) {
-      EXPECT_NEAR(em_a[i], em_b[i], 1e-13 * em_a[i] + 0.0)
-          << "k=" << k << " i=" << i;
-    }
-    for (std::size_t i = k; i < stride; ++i) EXPECT_EQ(em_b[i], 0.0);
-  }
-}
 
 /// Ehmm over k states (k = ceil(max/eps) + 1 with eps 0.5).
 core::VeritasConfig config_for_states(std::size_t k) {
@@ -335,67 +212,9 @@ TEST_P(EhmmEquivalence, SimdMatchesScalarAcrossThreads) {
 INSTANTIATE_TEST_SUITE_P(StateCounts, EhmmEquivalence,
                          ::testing::Values(3, 8, 17, 32));
 
-// Forced AVX-512 end to end: identical Viterbi decisions (the max-plus
-// kernel and the emission log-pdf rows are bit-identical), posteriors
-// and log-likelihood within the 1e-12 tier gate.
-TEST_P(EhmmEquivalence, Avx512MatchesScalarWithinGate) {
-  if (!avx512_available()) {
-    GTEST_SKIP() << "no AVX-512 table in this build/CPU";
-  }
-  const std::size_t k = GetParam();
-  const core::VeritasConfig cfg = config_for_states(k);
-  const core::InferenceEngine engine(cfg);
-  const auto logs = test_logs();
-
-  std::vector<core::VeritasResult> scalar_results;
-  {
-    const sk::ScopedMode mode(sk::Mode::kForceScalar);
-    for (const auto& log : logs) scalar_results.push_back(engine.infer(log));
-  }
-
-  const sk::ScopedMode mode(sk::Mode::kForceAvx512);
-  ASSERT_STREQ(sk::backend_name(), "avx512");
-  for (const std::size_t threads : {1u, 4u}) {
-    const std::vector<core::VeritasResult> avx_results =
-        engine.infer_batch(logs, threads);
-    ASSERT_EQ(avx_results.size(), scalar_results.size());
-    for (std::size_t s = 0; s < logs.size(); ++s) {
-      const core::VeritasResult& a = scalar_results[s];
-      const core::VeritasResult& b = avx_results[s];
-      ASSERT_EQ(a.map_states_mbps.size(), b.map_states_mbps.size());
-      for (std::size_t n = 0; n < a.map_states_mbps.size(); ++n) {
-        EXPECT_EQ(a.map_states_mbps[n], b.map_states_mbps[n])
-            << "k=" << k << " session=" << s << " n=" << n;
-      }
-      EXPECT_LE(a.posterior_marginals.max_abs_diff(b.posterior_marginals),
-                1e-12)
-          << "k=" << k << " session=" << s;
-      EXPECT_NEAR(a.log_likelihood, b.log_likelihood,
-                  1e-12 * std::abs(a.log_likelihood))
-          << "k=" << k << " session=" << s;
-    }
-  }
-}
-
-// Dispatch resolution: kForceAvx512 resolves to the opt-in table when
-// compiled in and the CPU has it, and falls back to the default vector
-// tier (then scalar) otherwise — backend_name() always reports the tier
-// actually serving the kernels.
-TEST(KernelDispatch, ForcedAvx512ResolvesOrFallsBack) {
-  const sk::ScopedMode mode(sk::Mode::kForceAvx512);
-  if (avx512_available()) {
-    EXPECT_STREQ(sk::backend_name(), "avx512");
-  } else if (simd_available()) {
-    EXPECT_STREQ(sk::backend_name(), sk::simd_ops()->name);
-  } else {
-    EXPECT_STREQ(sk::backend_name(), "scalar");
-  }
-}
-
-// Default dispatch never auto-selects the FMA tier: kAuto must resolve
-// to the bit-exact default table even on AVX-512 hosts (the tier is
-// opt-in via VERITAS_SIMD=avx512 or the forced mode only).
-TEST(KernelDispatch, AutoNeverSelectsAvx512) {
+// Default dispatch resolves to the vector table whenever it is compiled
+// in and the CPU has its ISA, and backend_name() reports it.
+TEST(KernelDispatch, AutoSelectsSimdTable) {
   if (std::getenv("VERITAS_SIMD") != nullptr) {
     GTEST_SKIP() << "VERITAS_SIMD overrides auto dispatch in this run";
   }
@@ -431,14 +250,56 @@ TEST(EhmmEquivalence, MultiWindowEstimatorWithinTolerance) {
   }
 }
 
-// A tiny precompute window forces the mutex-guarded fallback (and the
-// legacy strided kernels) for the long-gap deltas — results must be
-// bit-identical to the full dense table, in both dispatch modes.
+Ehmm tridiagonal_ehmm(std::size_t powers) {
+  core::StateSpace space(0.5, 10.0);
+  core::TransitionModel transition =
+      core::TransitionModel::tridiagonal(space.size());
+  core::EmissionModel emission(0.5);
+  return Ehmm(std::move(space), std::move(transition), std::move(emission),
+              5.0, powers);
+}
+
+/// Every inference output of `small` and `large` on `obs` must be
+/// bit-identical under the current dispatch mode: Viterbi states and
+/// scores, gamma, log-likelihood, pair totals and sampled paths.
+void expect_window_independent(const Ehmm& small, const Ehmm& large,
+                               const std::vector<ChunkObservation>& obs) {
+  Ehmm::Scratch scratch_a, scratch_b;
+  const Ehmm::InferencePass a = small.infer_fused(obs, scratch_a);
+  const Ehmm::InferencePass b = large.infer_fused(obs, scratch_b);
+  EXPECT_EQ(a.viterbi.states, b.viterbi.states);
+  EXPECT_EQ(a.viterbi.scores.max_abs_diff(b.viterbi.scores), 0.0);
+  EXPECT_EQ(a.viterbi.log_likelihood, b.viterbi.log_likelihood);
+  EXPECT_EQ(a.forward_backward.gamma.max_abs_diff(b.forward_backward.gamma),
+            0.0);
+  EXPECT_EQ(a.forward_backward.log_likelihood,
+            b.forward_backward.log_likelihood);
+  EXPECT_EQ(a.forward_backward.pair_totals, b.forward_backward.pair_totals);
+  for (const std::uint64_t seed : {42ull, 7ull}) {
+    util::Rng rng_a(seed), rng_b(seed);
+    EXPECT_EQ(
+        small.sample_posterior(a.viterbi, a.forward_backward, scratch_a,
+                               rng_a),
+        large.sample_posterior(b.viterbi, b.forward_backward, scratch_b,
+                               rng_b))
+        << "seed " << seed;
+  }
+}
+
+std::vector<sk::Mode> available_modes() {
+  std::vector<sk::Mode> modes{sk::Mode::kForceScalar};
+  if (simd_available()) modes.push_back(sk::Mode::kForceSimd);
+  return modes;
+}
+
+// A tiny precompute window sends the long-gap deltas to the memoized
+// entries — results must be bit-identical to the full dense table, in
+// both dispatch modes (the memo holds the same padded layouts, so the
+// same kernels run).
 TEST(PrecomputedPowerWindow, SmallWindowBitIdenticalToLarge) {
   using core::testing::warm_observation;
   // Session with rebuffer-sized gaps: window deltas 0, 1, 2, 5, 13 with
-  // δ = 5 s — everything past Δ=1 exercises the fallback on the small
-  // table.
+  // δ = 5 s — everything past Δ=1 is beyond the small table.
   std::vector<ChunkObservation> obs;
   obs.push_back(warm_observation(0.0, 2.0));
   obs.push_back(warm_observation(3.0, 2.5));
@@ -447,67 +308,45 @@ TEST(PrecomputedPowerWindow, SmallWindowBitIdenticalToLarge) {
   obs.push_back(warm_observation(44.0, 1.5));
   obs.push_back(warm_observation(110.0, 2.5));
 
-  const auto make = [](std::size_t powers) {
-    core::StateSpace space(0.5, 10.0);
-    core::TransitionModel transition =
-        core::TransitionModel::tridiagonal(space.size());
-    core::EmissionModel emission(0.5);
-    return Ehmm(std::move(space), std::move(transition), std::move(emission),
-                5.0, powers);
-  };
-  const Ehmm small = make(1);
-  const Ehmm full = make(64);
+  const Ehmm small = tridiagonal_ehmm(1);
+  const Ehmm full = tridiagonal_ehmm(64);
   EXPECT_EQ(small.transition().precomputed_powers(), 2u);
 
-  for (const sk::Mode m : {sk::Mode::kForceScalar, sk::Mode::kForceSimd}) {
-    if (m == sk::Mode::kForceSimd && !simd_available()) continue;
+  for (const sk::Mode m : available_modes()) {
     const sk::ScopedMode mode(m);
-    Ehmm::Scratch scratch_a, scratch_b;
-    const Ehmm::InferencePass a = small.infer_fused(obs, scratch_a);
-    const Ehmm::InferencePass b = full.infer_fused(obs, scratch_b);
-    EXPECT_EQ(a.viterbi.states, b.viterbi.states);
-    EXPECT_EQ(a.viterbi.scores.max_abs_diff(b.viterbi.scores), 0.0);
-    EXPECT_EQ(a.forward_backward.gamma.max_abs_diff(b.forward_backward.gamma),
-              0.0);
-    EXPECT_EQ(a.forward_backward.log_likelihood,
-              b.forward_backward.log_likelihood);
-    ASSERT_EQ(a.forward_backward.pair_totals.size(),
-              b.forward_backward.pair_totals.size());
-    for (std::size_t n = 0; n < a.forward_backward.pair_totals.size(); ++n) {
-      // The fallback always accumulates the pair total in scalar order,
-      // so it is exact against the dense scalar kernel; the dense SIMD
-      // kernel reassociates across lanes (ulp-level).
-      if (m == sk::Mode::kForceScalar) {
-        EXPECT_EQ(a.forward_backward.pair_totals[n],
-                  b.forward_backward.pair_totals[n]);
-      } else {
-        const double want = a.forward_backward.pair_totals[n];
-        EXPECT_NEAR(want, b.forward_backward.pair_totals[n],
-                    1e-12 * std::max(1.0, std::abs(want)));
-      }
-    }
-    if (m == sk::Mode::kForceScalar) {
-      util::Rng rng_a(42), rng_b(42);
-      EXPECT_EQ(small.sample_posterior(a.viterbi, a.forward_backward,
-                                       scratch_a, rng_a),
-                full.sample_posterior(b.viterbi, b.forward_backward,
-                                      scratch_b, rng_b));
-    }
+    expect_window_independent(small, full, obs);
   }
 }
 
-// EngineOptions still overrides the config when explicitly non-zero.
-TEST(PrecomputedPowerWindow, EngineOptionsOverrideConfig) {
-  core::VeritasConfig cfg;
-  cfg.precomputed_powers = 2;
-  core::EngineOptions options;
-  options.precomputed_powers = 16;
-  const core::InferenceEngine engine(cfg, options);
-  EXPECT_GE(engine.ehmm().transition().precomputed_powers(), 16u);
-  const core::InferenceEngine config_engine(cfg);
-  // Config value honored (multi-window floors at kMaxSpanWindows only
-  // for that estimator; full-TCP takes the config verbatim).
-  EXPECT_EQ(config_engine.ehmm().transition().precomputed_powers(), 3u);
+// A default-config engine on a session with a gap longer than its
+// 64-window table: the long delta runs from the memo and must match an
+// engine with a 512-window table, where it is dense, bit for bit on
+// both tiers.
+TEST(PrecomputedPowerWindow, LongGapMatchesLargeTable) {
+  using core::testing::warm_observation;
+  std::vector<ChunkObservation> obs;
+  obs.push_back(warm_observation(0.0, 2.0));
+  obs.push_back(warm_observation(4.0, 2.5));
+  obs.push_back(warm_observation(8.0, 3.0));
+  // 400 s later: Δ = 80 windows with δ = 5 s.
+  obs.push_back(warm_observation(408.0, 1.5));
+  obs.push_back(warm_observation(412.0, 2.5));
+  obs.push_back(warm_observation(416.0, 2.0));
+
+  const core::InferenceEngine default_engine{core::VeritasConfig{}};
+  core::VeritasConfig large_cfg;
+  large_cfg.precomputed_powers = 512;
+  const core::InferenceEngine large_engine(large_cfg);
+  const Ehmm& by_default = default_engine.ehmm();
+  const Ehmm& large = large_engine.ehmm();
+  ASSERT_EQ(by_default.window_deltas(obs)[3], 80u);
+  ASSERT_LT(by_default.transition().precomputed_powers(), 80u);
+  ASSERT_GT(large.transition().precomputed_powers(), 80u);
+
+  for (const sk::Mode m : available_modes()) {
+    const sk::ScopedMode mode(m);
+    expect_window_independent(by_default, large, obs);
+  }
 }
 
 }  // namespace

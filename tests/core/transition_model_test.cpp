@@ -111,24 +111,32 @@ TEST(TransitionModel, PrecomputedPowersMatchFallbackBitExactly) {
 TEST(TransitionModel, PowerViewLayoutsAreConsistent) {
   TransitionModel m = TransitionModel::tridiagonal(5);
   m.precompute_powers(4);
-  for (std::size_t delta = 0; delta <= 4; ++delta) {
-    const TransitionModel::PowerView view = m.power_view(delta);
+  // Dense deltas and deltas beyond the table (served from the memo) get
+  // the same padded layouts.
+  for (const std::size_t delta : {0u, 1u, 2u, 3u, 4u, 9u, 40u}) {
+    const math::simd_kernels::DeltaTables view = m.power_view(delta);
     ASSERT_NE(view.p, nullptr);
-    ASSERT_NE(view.transposed, nullptr);
-    ASSERT_NE(view.log_transposed, nullptr);
+    ASSERT_NE(view.t, nullptr);
+    ASSERT_NE(view.log_p, nullptr);
+    ASSERT_NE(view.log_t, nullptr);
+    ASSERT_EQ(view.stride, math::padded_cols(5));
+    const math::Matrix& p = m.power(delta);
+    ASSERT_EQ(view.p, p.row_data(0));
     for (std::size_t i = 0; i < 5; ++i) {
       for (std::size_t j = 0; j < 5; ++j) {
-        EXPECT_EQ((*view.transposed)(i, j), (*view.p)(j, i));
-        EXPECT_EQ((*view.log_transposed)(i, j),
-                  math::safe_log((*view.p)(j, i)));
+        EXPECT_EQ(view.t[i * view.stride + j], p(j, i));
+        EXPECT_EQ(view.log_p[i * view.stride + j], math::safe_log(p(i, j)));
+        EXPECT_EQ(view.log_t[i * view.stride + j], math::safe_log(p(j, i)));
+      }
+      for (std::size_t j = 5; j < view.stride; ++j) {
+        EXPECT_EQ(view.p[i * view.stride + j], 0.0);
+        EXPECT_EQ(view.t[i * view.stride + j], 0.0);
+        EXPECT_EQ(view.log_p[i * view.stride + j], math::kNegInf);
+        EXPECT_EQ(view.log_t[i * view.stride + j], math::kNegInf);
       }
     }
   }
-  // Beyond the dense table: the matrix is served, the layouts are not.
-  const TransitionModel::PowerView beyond = m.power_view(9);
-  ASSERT_NE(beyond.p, nullptr);
-  EXPECT_EQ(beyond.transposed, nullptr);
-  EXPECT_EQ(beyond.log_transposed, nullptr);
+  EXPECT_EQ(m.precomputed_powers(), 5u);
 }
 
 TEST(TransitionModel, PrecomputeIsIdempotentAndOnlyGrows) {

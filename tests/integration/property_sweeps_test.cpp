@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include "abr/abr_factory.hpp"
 #include "core/veritas.hpp"
@@ -23,19 +25,28 @@ struct SweepCase {
   net::CongestionControl cc;
 };
 
-std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
-  std::string name = trace::family_name(info.param.family);
+std::string sweep_name(const SweepCase& c) {
+  std::string name = trace::family_name(c.family);
   name += "_";
-  name += info.param.abr;
+  name += c.abr;
   name += "_b";
-  name += std::to_string(int(info.param.buffer_s));
-  name += info.param.cc == net::CongestionControl::kBbrLike ? "_bbr" : "_cubic";
+  name += std::to_string(int(c.buffer_s));
+  name += c.cc == net::CongestionControl::kBbrLike ? "_bbr" : "_cubic";
   // gtest names must be alphanumeric.
-  for (char& c : name) {
-    if (c == ':') c = '_';
+  for (char& ch : name) {
+    if (ch == ':') ch = '_';
   }
   return name;
 }
+
+std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
+  return sweep_name(info.param);
+}
+
+// Prints each case by its name. Without this gtest prints the raw bytes,
+// padding included, so the ctest names derived from them changed from
+// one process to the next.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << sweep_name(c); }
 
 class SessionSweep : public ::testing::TestWithParam<SweepCase> {
  protected:
@@ -146,6 +157,11 @@ INSTANTIATE_TEST_SUITE_P(
 struct HyperCase {
   double epsilon, sigma;
 };
+
+// Readable, stable case names ("eps0.25_sigma0.5") instead of byte dumps.
+void PrintTo(const HyperCase& c, std::ostream* os) {
+  *os << "eps" << c.epsilon << "_sigma" << c.sigma;
+}
 
 class HyperSweep : public ::testing::TestWithParam<HyperCase> {};
 

@@ -4,9 +4,7 @@
 // candidate counts crossing the SIMD lane boundaries (k ∈ {1, 3, 8, 17,
 // 32}), ascending state-space-like grids including the zero candidate,
 // and adversarial windows that trip the closed form's guards — under
-// every dispatch mode (forced scalar, forced SIMD, and the opt-in
-// AVX-512 tier, which keeps this kernel FMA-free and therefore holds
-// the same bitwise contract).
+// both dispatch modes (forced scalar and forced SIMD).
 #include <cmath>
 #include <random>
 #include <vector>
@@ -27,17 +25,14 @@ using veritas::net::estimate_throughput_batch;
 using veritas::net::estimate_throughput_mbps;
 
 bool simd_available() { return sk::simd_ops() != nullptr; }
-bool avx512_available() { return sk::avx512_ops() != nullptr; }
 
 bool mode_available(sk::Mode mode) {
   if (mode == sk::Mode::kForceSimd) return simd_available();
-  if (mode == sk::Mode::kForceAvx512) return avx512_available();
   return true;
 }
 
 const char* mode_name(sk::Mode mode) {
   if (mode == sk::Mode::kForceSimd) return "simd";
-  if (mode == sk::Mode::kForceAvx512) return "avx512";
   return "scalar";
 }
 
@@ -115,10 +110,8 @@ TEST_P(ThroughputBatch, BitIdenticalToScalarComposition) {
           estimate_throughput_mbps(candidates[i], w, size_bytes, config);
     }
 
-    // estimate_batch avoids FMA on every tier, so the AVX-512 table is
-    // held to the same bitwise contract as the default vector one.
-    for (const sk::Mode mode : {sk::Mode::kForceScalar, sk::Mode::kForceSimd,
-                                sk::Mode::kForceAvx512}) {
+    for (const sk::Mode mode :
+         {sk::Mode::kForceScalar, sk::Mode::kForceSimd}) {
       if (!mode_available(mode)) continue;
       sk::ScopedMode guard(mode);
       // Oversized output with sentinels: the batch must write exactly k.
@@ -170,18 +163,14 @@ TEST(ThroughputBatch, BoundaryStates) {
             expected[i] =
                 estimate_throughput_mbps(candidates[i], w, size, config);
           }
-          for (const sk::Mode mode :
-               {sk::Mode::kForceSimd, sk::Mode::kForceAvx512}) {
-            if (!mode_available(mode)) continue;
-            sk::ScopedMode guard(mode);
-            std::vector<double> out(candidates.size(), -1.0);
-            estimate_throughput_batch(candidates, w, size, config, out);
-            for (std::size_t i = 0; i < candidates.size(); ++i) {
-              EXPECT_EQ(expected[i], out[i])
-                  << "size=" << size << " cwnd=" << cwnd
-                  << " ssthresh=" << ssthresh << " bbr=" << bbr
-                  << " mode=" << mode_name(mode) << " cand=" << candidates[i];
-            }
+          sk::ScopedMode guard(sk::Mode::kForceSimd);
+          std::vector<double> out(candidates.size(), -1.0);
+          estimate_throughput_batch(candidates, w, size, config, out);
+          for (std::size_t i = 0; i < candidates.size(); ++i) {
+            EXPECT_EQ(expected[i], out[i])
+                << "size=" << size << " cwnd=" << cwnd
+                << " ssthresh=" << ssthresh << " bbr=" << bbr
+                << " cand=" << candidates[i];
           }
         }
       }

@@ -9,18 +9,17 @@
 # result cache).
 #
 # The micro benches run the EHMM kernel benchmarks at /simd:0 (forced
-# scalar reference), /simd:1 (default bit-exact vector table) and
-# /simd:2 (opt-in AVX-512/FMA tier; skipped when the binary or CPU lacks
-# it), so the snapshot records the whole kernel-tier trajectory from a
-# single binary — compare e.g. BM_ForwardBackwardRecursion/simd:0 vs
-# /simd:1 vs /simd:2. Each guarded benchmark carries the *resolved* tier
+# scalar reference) and /simd:1 (bit-exact vector table; skipped when
+# the binary or CPU lacks it), so the snapshot records both kernel tiers
+# from a single binary — compare e.g. BM_ForwardBackwardRecursion/simd:0
+# vs /simd:1. Each guarded benchmark carries the *resolved* tier
 # name as its label, and every bench JSON records a "kernels" field. The
 # PR 5 estimator benches additionally split on /warm:0|1 (cross-session
 # (W, S) estimator cache cold vs warm); the headline pair is
 # BM_FbWithEstimatorPr4BaselineK17 vs BM_FbWithEstimatorK17/simd:1/warm:1
 # (forward-backward with the estimator included, k = 17). PR 7 adds
 # BM_EstimatorBatchCaHeavyK17 (congestion-avoidance-dominated batch, the
-# vectorized CA jump) and the /simd:2 column everywhere. PR 8 adds
+# vectorized CA jump). Also recorded:
 # BM_TraceSpanDisabled / BM_TraceSpanEnabled (the observability tax of a
 # span site; Enabled self-skips in default -DVERITAS_TRACING=OFF builds).
 #
