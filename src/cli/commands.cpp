@@ -421,7 +421,7 @@ std::string usage() {
       "                  random|fixed:K] [--buffer S] [--rtt S] [--ladder default|high]\n"
       "  infer           --log LOG [--out-prefix P] [--samples K] [--delta S]\n"
       "                  [--epsilon MBPS] [--sigma MBPS] [--max-mbps MBPS]\n"
-      "                  [--powers N]   (dense A^Δ table size)\n"
+      "                  [--powers N]   (lock-free A^Δ slot count)\n"
       "  replay          --trace FILE [--abr NAME] [--buffer S] [--ladder NAME]\n"
       "  whatif          --log LOG [--abr NAME] [--buffer S] [--ladder NAME]\n"
       "                  [--samples K]   (production what-if: no ground truth)\n"

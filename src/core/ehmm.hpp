@@ -12,12 +12,14 @@
 // Baum-Welch forward-backward variant (Algorithm 2) producing the pair
 // posterior Γ used by the capacity sampler (Algorithm 1).
 //
-// Hot-path layout: the model is immutable after construction — the dense
-// A^Δ power table (with transposed / log-transposed variants) and the
-// multi-window span-candidate table are precomputed in the constructor —
-// so one Ehmm can serve many sessions from many threads. Per-session
-// buffers live in Ehmm::Scratch, and infer_fused() runs Viterbi and
-// forward-backward off a single shared emission/delta computation.
+// Hot-path layout: the model's results are fixed at construction — the
+// multi-window span-candidate table is precomputed in the constructor,
+// and each A^Δ power entry (with transposed / log-transposed variants)
+// is built once on first use and published thread-safely, identical
+// whichever thread builds it — so one Ehmm can serve many sessions from
+// many threads. Per-session buffers live in Ehmm::Scratch, and
+// infer_fused() runs Viterbi and forward-backward off a single shared
+// emission/delta computation.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +49,10 @@ struct SamplerConfig {
 
 class Ehmm {
  public:
-  /// Dense A^Δ table size built at construction; Δ beyond it is built on
-  /// first use into the TransitionModel's read-mostly memo, in the same
-  /// layout and through the same kernels (identical results).
+  /// Lock-free A^Δ slot count sized at construction; every entry is
+  /// built on first use. Δ beyond the slots goes to the
+  /// TransitionModel's read-mostly memo, in the same layout and through
+  /// the same kernels (identical results).
   static constexpr std::size_t kDefaultPrecomputedPowers = 64;
 
   /// Cap on the multi-window emission span (kMultiWindow estimator).

@@ -1,17 +1,19 @@
 // The fused EHMM inference engine: one immutable model, many sessions.
 //
-// The engine owns a fully precomputed Ehmm (state space, transition model
-// with its dense A^Δ power table, emission model with the multi-window
-// span-candidate table) and processes each session in a single fused
-// pass: emission log-probs and window deltas are computed once and shared
-// by Viterbi, forward-backward and posterior sampling. Per-session
-// buffers come from reusable Ehmm::Scratch arenas, so steady-state
-// inference allocates only its results.
+// The engine owns an Ehmm (state space, transition model whose A^Δ
+// power entries are built on first use, emission model with the
+// multi-window span-candidate table) and processes each session in a
+// single fused pass: emission log-probs and window deltas are computed
+// once and shared by Viterbi, forward-backward and posterior sampling.
+// Per-session buffers come from reusable Ehmm::Scratch arenas, so
+// steady-state inference allocates only its results.
 //
-// Because the model is immutable after construction, one engine can be
-// shared by any number of threads; infer_batch() fans a set of session
-// logs across a worker pool (one scratch arena per lane) and returns
-// results identical to the serial path regardless of thread count.
+// Because the model's results are fixed at construction (a lazily built
+// A^Δ entry depends only on A and Δ), one engine can be shared by any
+// number of threads, and a fresh engine answers exactly like a warm
+// one; infer_batch() fans a set of session logs across a worker pool
+// (one scratch arena per lane) and returns results identical to the
+// serial path regardless of thread count.
 //
 // Veritas (core/veritas.hpp) is a thin facade over this class; use the
 // engine directly when serving many sessions against one configuration.
@@ -44,13 +46,13 @@ struct VeritasConfig {
   SamplerConfig sampler;
   net::TcpConfig tcp;
   std::uint64_t seed = 1234;
-  /// Dense A^Δ power-table size: window deltas below this are served
-  /// lock-free from tables built with the engine; deltas at or beyond it
-  /// are built in the same layout on first use and served from the
-  /// transition model's read-mostly memo (see bench_micro_core
-  /// BM_TransitionPower*). Results never depend on it: raise it for
-  /// workloads with long in-session gaps, lower it to trim engine build
-  /// time / memory for short sessions.
+  /// Size of the transition model's lock-free A^Δ slot array: window
+  /// deltas below this are looked up with one atomic load, deltas at or
+  /// beyond it from the read-mostly shared_mutex memo (see
+  /// bench_micro_core BM_TransitionPower*). Every entry is built on first
+  /// use either way, so the window costs no build time and only a
+  /// pointer per slot of memory. Results never depend on it: raise it
+  /// for workloads with long in-session gaps.
   std::size_t precomputed_powers = Ehmm::kDefaultPrecomputedPowers;
   /// Byte budget of the engine-owned cross-session (W, S) estimator
   /// cache shared by every scratch the engine serves (see

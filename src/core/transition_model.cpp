@@ -1,6 +1,7 @@
 #include "core/transition_model.hpp"
 
 #include <cmath>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <utility>
@@ -24,7 +25,15 @@ TransitionModel::TransitionModel(math::Matrix a, std::vector<double> initial)
 }
 
 TransitionModel::TransitionModel(const TransitionModel& other)
-    : a_(other.a_), initial_(other.initial_), dense_(other.dense_) {
+    : a_(other.a_), initial_(other.initial_), slots_(other.slots_.size()) {
+  // Only the entries already built; a throw here frees the copied ones
+  // through slots_'s destructor.
+  for (std::size_t delta = 0; delta < slots_.size(); ++delta) {
+    if (const PowerEntry* e =
+            other.slots_[delta].load(std::memory_order_acquire)) {
+      slots_[delta].store(new PowerEntry(*e), std::memory_order_relaxed);
+    }
+  }
   const std::shared_lock lock(other.overflow_mutex_);
   overflow_ = other.overflow_;
 }
@@ -32,7 +41,7 @@ TransitionModel::TransitionModel(const TransitionModel& other)
 TransitionModel::TransitionModel(TransitionModel&& other) noexcept
     : a_(std::move(other.a_)),
       initial_(std::move(other.initial_)),
-      dense_(std::move(other.dense_)) {
+      slots_(std::move(other.slots_)) {
   // No lock: moving from a model concurrently served to other threads is
   // a caller bug regardless of the memo.
   overflow_ = std::move(other.overflow_);
@@ -49,7 +58,7 @@ TransitionModel& TransitionModel::operator=(TransitionModel&& other) noexcept {
   if (this == &other) return *this;
   a_ = std::move(other.a_);
   initial_ = std::move(other.initial_);
-  dense_ = std::move(other.dense_);
+  slots_ = std::move(other.slots_);
   overflow_ = std::move(other.overflow_);
   return *this;
 }
@@ -130,16 +139,32 @@ TransitionModel::PowerEntry TransitionModel::make_entry(
 }
 
 void TransitionModel::precompute_powers(std::size_t max_delta) {
-  if (dense_.size() > max_delta) return;
-  dense_.reserve(max_delta + 1);
-  for (std::size_t delta = dense_.size(); delta <= max_delta; ++delta) {
-    dense_.push_back(make_entry(delta));
+  if (slots_.size() > max_delta) return;
+  PowerSlots grown(max_delta + 1);
+  for (std::size_t delta = 0; delta < slots_.size(); ++delta) {
+    grown[delta].store(slots_[delta].exchange(nullptr),
+                       std::memory_order_relaxed);
   }
+  slots_ = std::move(grown);
 }
 
 const TransitionModel::PowerEntry& TransitionModel::entry(
     std::size_t delta) const {
-  if (delta < dense_.size()) return dense_[delta];
+  if (delta < slots_.size()) {
+    std::atomic<const PowerEntry*>& slot = slots_[delta];
+    const PowerEntry* e = slot.load(std::memory_order_acquire);
+    if (e != nullptr) return *e;
+    // First use: build outside any lock and publish. A racing thread
+    // that published first wins; its entry is identical (make_entry
+    // depends only on a_ and delta), so drop ours and serve its.
+    auto fresh = std::make_unique<const PowerEntry>(make_entry(delta));
+    if (slot.compare_exchange_strong(e, fresh.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      return *fresh.release();
+    }
+    return *e;
+  }
   // Read-mostly fast path: after a gap length is memoized once, every
   // later lookup shares the lock, so concurrent lanes replaying long-gap
   // sessions don't serialize. std::map node stability keeps the returned

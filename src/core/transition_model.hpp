@@ -13,16 +13,22 @@
 // lanes without masking. The scalar recursions consume the transposed
 // layouts with contiguous inner loops; the SIMD recursions stream the
 // untransposed (or, backward, transposed) rows in column blocks.
-// precompute_powers() builds a dense immutable table of these entries
-// for Δ = 0..max, whose lookups are lock-free and safe to share across
-// threads. Deltas beyond the table are built in the same layout on first
-// use and kept in a read-mostly shared_mutex memo (shared-lock hits,
+// Entries are built on first use, never at construction: an engine
+// pays only for the deltas its sessions actually look up, and results
+// do not depend on lookup order, on which thread builds an entry, or on
+// whether the model is fresh or warm (an entry depends only on A and Δ).
+// precompute_powers() sizes a lock-free slot array for Δ = 0..max; a
+// hit there is one acquire load, and a first miss builds the entry and
+// publishes it with a compare-exchange (a racing loser frees its copy).
+// Deltas beyond the slots are built in the same layout on first use and
+// kept in a read-mostly shared_mutex memo (shared-lock hits,
 // exclusive-lock first-compute), so arbitrarily long session gaps run
-// through the same kernels and give the same results. The table size
-// (VeritasConfig::precomputed_powers) therefore only trades memory and
-// build time against lookups; it never changes an inference result.
+// through the same kernels and give the same results. The slot count
+// (VeritasConfig::precomputed_powers) therefore only decides which
+// lookups are lock-free; it never changes an inference result.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <map>
 #include <shared_mutex>
@@ -47,6 +53,8 @@ class TransitionModel {
   /// matching size.
   TransitionModel(math::Matrix a, std::vector<double> initial);
 
+  /// Copies deep-copy only the entries already built; a move leaves the
+  /// source with no slots and no memo.
   TransitionModel(const TransitionModel& other);
   TransitionModel(TransitionModel&& other) noexcept;
   TransitionModel& operator=(const TransitionModel& other);
@@ -69,17 +77,18 @@ class TransitionModel {
   const math::Matrix& matrix() const noexcept { return a_; }
   std::span<const double> initial() const noexcept { return initial_; }
 
-  /// Builds the dense power table for Δ = 0..max_delta. Not thread-safe;
-  /// call once (e.g. at Ehmm construction) before sharing the model
-  /// across threads. Idempotent: only grows the table.
+  /// Sizes the lock-free slot array to Δ = 0..max_delta; builds no
+  /// entry. Not thread-safe; call once (e.g. at Ehmm construction)
+  /// before sharing the model across threads. Idempotent: only grows
+  /// the array, keeping the entries already built.
   void precompute_powers(std::size_t max_delta);
 
-  /// Number of dense entries (Δ < precomputed_powers() is lock-free).
-  std::size_t precomputed_powers() const noexcept { return dense_.size(); }
+  /// Number of slots (Δ < precomputed_powers() is lock-free).
+  std::size_t precomputed_powers() const noexcept { return slots_.size(); }
 
-  /// A^delta (delta = 0 yields the identity), rows padded. Lock-free for
-  /// deltas in the precomputed table; beyond it, a shared-lock memo find
-  /// with exclusive-lock first-compute.
+  /// A^delta (delta = 0 yields the identity), rows padded, built on
+  /// first use. Lock-free for deltas inside the slot array; beyond it, a
+  /// shared-lock memo find with exclusive-lock first-compute.
   const math::Matrix& power(std::size_t delta) const;
 
   /// The padded kernel layouts of A^delta (p, transposed, log_p, log_t),
@@ -97,16 +106,41 @@ class TransitionModel {
   PowerEntry make_entry(std::size_t delta) const;
   const PowerEntry& entry(std::size_t delta) const;
 
+  /// Slot array for Δ < size(): null until the first lookup publishes
+  /// an entry, which the array then owns (freed with it).
+  class PowerSlots {
+   public:
+    explicit PowerSlots(std::size_t count = 0) : slots_(count) {}
+    PowerSlots(PowerSlots&&) noexcept = default;
+    PowerSlots& operator=(PowerSlots&& other) noexcept {
+      const PowerSlots old(std::move(*this));  // frees our entries
+      slots_.swap(other.slots_);
+      return *this;
+    }
+    ~PowerSlots() {
+      for (auto& slot : slots_) delete slot.load(std::memory_order_relaxed);
+    }
+    std::size_t size() const noexcept { return slots_.size(); }
+    std::atomic<const PowerEntry*>& operator[](std::size_t i) noexcept {
+      return slots_[i];
+    }
+
+   private:
+    std::vector<std::atomic<const PowerEntry*>> slots_;
+  };
+
   math::Matrix a_;
   std::vector<double> initial_;
-  std::vector<PowerEntry> dense_;  ///< index = Δ; immutable once built
+  /// index = Δ; each entry is immutable once published. mutable: const
+  /// lookups publish first-use entries.
+  mutable PowerSlots slots_;
   /// Read-mostly memo guard: after a gap length is memoized once, every
   /// later lookup of it is a shared-lock map find, so concurrent serving
   /// lanes replaying long-gap sessions no longer serialize on each
   /// other. Writers (first sighting of a delta) take the exclusive lock
   /// and re-check under it.
   mutable std::shared_mutex overflow_mutex_;
-  /// Memo for Δ beyond the dense table. std::map: node stability keeps
+  /// Memo for Δ beyond the slot array. std::map: node stability keeps
   /// returned references valid across later insertions.
   mutable std::map<std::size_t, PowerEntry> overflow_;
 };

@@ -8,11 +8,11 @@
 // plus (c) interventional next-chunk predictions.
 //
 // The facade holds the configuration and delegates all inference to a
-// shared immutable InferenceEngine (core/inference_engine.hpp), built
-// once at construction: state space, transition model with its dense A^Δ
-// power table, and emission tables are precomputed and reused across
-// queries and threads. Use engine() / infer_batch() to serve many
-// sessions in parallel on the same model.
+// shared InferenceEngine (core/inference_engine.hpp), built once at
+// construction: state space and emission tables are set up there, and
+// the transition model builds each A^Δ power entry on first use; all of
+// it is reused across queries and threads. Use engine() / infer_batch()
+// to serve many sessions in parallel on the same model.
 //
 // Typical use:
 //   veritas::core::Veritas veritas;                  // paper defaults

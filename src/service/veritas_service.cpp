@@ -58,8 +58,9 @@ VeritasService::~VeritasService() {
 
 std::uint64_t VeritasService::add_shard(const std::string& name,
                                         const core::VeritasConfig& config) {
-  // Build outside the lock: engine construction precomputes the A^Δ and
-  // span tables and can take milliseconds.
+  // Build outside the lock: engine construction sets up the state
+  // space, emission model and span table (A^Δ entries are built on
+  // first use), which is not free at large k.
   return add_shard(name,
                    std::make_shared<const core::InferenceEngine>(config));
 }

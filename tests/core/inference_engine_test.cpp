@@ -158,12 +158,12 @@ TEST(InferenceEngine, BatchOfEmptySetIsEmpty) {
 }
 
 TEST(InferenceEngine, SmallPowerTableFallsBackBitExactly) {
-  // Deltas beyond the dense table are served from the transition model's
+  // Deltas beyond the slot window are served from the transition model's
   // memo in the same layout and run the same kernels; results must not
   // change.
   const sim::SessionLog log = shared_log();
   VeritasConfig tiny;
-  tiny.precomputed_powers = 1;  // only A^0 and A^1 are dense
+  tiny.precomputed_powers = 1;  // only A^0 and A^1 have slots
   const InferenceEngine small(tiny);
   const InferenceEngine big(VeritasConfig{});
   const auto observations = observations_from_log(log);
@@ -190,6 +190,71 @@ TEST(InferenceEngine, SharedAcrossThreadsViaFacade) {
   const std::shared_ptr<const InferenceEngine> engine = facade.engine_ptr();
   const sim::SessionLog log = shared_log();
   expect_bit_identical(facade.infer(log), engine->infer(log));
+}
+
+std::vector<sim::SessionLog> first_use_logs() {
+  // Steady sessions only look up Δ 0 and 1; two paused copies shift
+  // their later chunks so the gaps reach Δ ≈ 24 and Δ ≈ 80 (past the
+  // default 64-slot window, into the overflow memo).
+  std::vector<sim::SessionLog> logs;
+  for (const std::uint64_t seed : {3u, 11u, 2024u}) {
+    logs.push_back(shared_log(seed));
+  }
+  for (const double pause_s : {120.0, 400.0}) {
+    sim::SessionLog paused = logs.back();
+    for (std::size_t n = paused.chunks.size() / 2; n < paused.chunks.size();
+         ++n) {
+      paused.chunks[n].start_s += pause_s;
+      paused.chunks[n].end_s += pause_s;
+    }
+    logs.push_back(std::move(paused));
+  }
+  return logs;
+}
+
+TEST(InferenceEngine, FreshEngineMatchesWarmEngineBitExactly) {
+  // A what-if query builds its engine per call (so every A^Δ entry it
+  // touches is built on first use); a long-lived engine serves the same
+  // query from entries other sessions built. Both must give the same
+  // answer bit for bit, whichever session built an entry first.
+  const std::vector<sim::SessionLog> logs = first_use_logs();
+  for (const VeritasConfig& cfg : golden_configs()) {
+    const InferenceEngine warm(cfg);
+    Ehmm::Scratch warm_scratch;
+    for (const auto& log : logs) (void)warm.infer(log, warm_scratch);
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+      for (const std::uint64_t seed : {1u, 77u, 90210u}) {
+        const std::uint64_t sample_seed = cfg.seed ^ seed;
+        Ehmm::Scratch scratch;
+        const VeritasResult fresh =
+            InferenceEngine(cfg).infer_with_seed(logs[i], scratch,
+                                                 sample_seed);
+        SCOPED_TRACE(::testing::Message() << "log " << i << ", seed " << seed);
+        expect_bit_identical(
+            fresh, warm.infer_with_seed(logs[i], warm_scratch, sample_seed));
+        VeritasConfig seeded = cfg;
+        seeded.seed = sample_seed;
+        expect_bit_identical(fresh, InferenceEngine(seeded).infer(logs[i]));
+      }
+    }
+  }
+}
+
+TEST(InferenceEngine, FreshEngineBatchMatchesSerial) {
+  // On a fresh engine the lanes race first use of the A^Δ entries
+  // inside the recursions; the results must not depend on who won.
+  const std::vector<sim::SessionLog> logs = first_use_logs();
+  const InferenceEngine serial_engine(VeritasConfig{});
+  std::vector<VeritasResult> serial;
+  for (const auto& log : logs) serial.push_back(serial_engine.infer(log));
+
+  const InferenceEngine fresh(VeritasConfig{});
+  const std::vector<VeritasResult> batch = fresh.infer_batch(logs, 4);
+  ASSERT_EQ(batch.size(), serial.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "log " << i);
+    expect_bit_identical(batch[i], serial[i]);
+  }
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 //    and backpointer-driven decisions, posteriors within 1e-9 (observed
 //    ~1e-13: only the exp approximation and the pair reduction differ),
 //    at 1 and 4 inference threads.
-//  * the configurable A^Δ precompute window: deltas beyond the dense
-//    table run through the same kernels on memoized entries, so every
+//  * the configurable A^Δ slot window: deltas beyond the lock-free
+//    slots run through the same kernels on memoized entries, so every
 //    inference result is bit-identical across window sizes on both
 //    tiers.
 #include <cmath>
@@ -293,7 +293,7 @@ std::vector<sk::Mode> available_modes() {
 }
 
 // A tiny precompute window sends the long-gap deltas to the memoized
-// entries — results must be bit-identical to the full dense table, in
+// entries — results must be bit-identical to the full slot window, in
 // both dispatch modes (the memo holds the same padded layouts, so the
 // same kernels run).
 TEST(PrecomputedPowerWindow, SmallWindowBitIdenticalToLarge) {
@@ -320,7 +320,7 @@ TEST(PrecomputedPowerWindow, SmallWindowBitIdenticalToLarge) {
 
 // A default-config engine on a session with a gap longer than its
 // 64-window table: the long delta runs from the memo and must match an
-// engine with a 512-window table, where it is dense, bit for bit on
+// engine with a 512-slot window, where it has a slot, bit for bit on
 // both tiers.
 TEST(PrecomputedPowerWindow, LongGapMatchesLargeTable) {
   using core::testing::warm_observation;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -10,6 +15,33 @@
 
 namespace veritas::core {
 namespace {
+
+namespace sk = math::simd_kernels;
+
+/// Largest Δ the first-use tests look up: past the default 64-slot
+/// window, so the overflow memo is covered too.
+constexpr std::size_t kMaxTestDelta = 80;
+
+TransitionModel default_window_model(std::size_t states = 7) {
+  TransitionModel m = TransitionModel::tridiagonal(states);
+  m.precompute_powers(64);
+  return m;
+}
+
+/// All four padded layouts of two views, pad columns included, compared
+/// bit for bit.
+void expect_views_bit_identical(const sk::DeltaTables& a,
+                                const sk::DeltaTables& b, std::size_t k,
+                                std::size_t delta) {
+  ASSERT_EQ(a.stride, b.stride);
+  const std::size_t bytes = k * a.stride * sizeof(double);
+  EXPECT_EQ(std::memcmp(a.p, b.p, bytes), 0) << "p, delta " << delta;
+  EXPECT_EQ(std::memcmp(a.t, b.t, bytes), 0) << "t, delta " << delta;
+  EXPECT_EQ(std::memcmp(a.log_p, b.log_p, bytes), 0)
+      << "log_p, delta " << delta;
+  EXPECT_EQ(std::memcmp(a.log_t, b.log_t, bytes), 0)
+      << "log_t, delta " << delta;
+}
 
 TEST(TransitionModel, TridiagonalStructure) {
   const TransitionModel m = TransitionModel::tridiagonal(5, 0.8);
@@ -98,12 +130,12 @@ TEST(TransitionModel, HighStayProbabilityConcentratesPower) {
 }
 
 TEST(TransitionModel, PrecomputedPowersMatchFallbackBitExactly) {
-  TransitionModel dense = TransitionModel::tridiagonal(6);
-  dense.precompute_powers(16);
-  EXPECT_EQ(dense.precomputed_powers(), 17u);
-  const TransitionModel lazy = TransitionModel::tridiagonal(6);
+  TransitionModel slotted = TransitionModel::tridiagonal(6);
+  slotted.precompute_powers(16);
+  EXPECT_EQ(slotted.precomputed_powers(), 17u);
+  const TransitionModel memoized = TransitionModel::tridiagonal(6);
   for (std::size_t delta = 0; delta <= 20; ++delta) {
-    EXPECT_EQ(dense.power(delta).max_abs_diff(lazy.power(delta)), 0.0)
+    EXPECT_EQ(slotted.power(delta).max_abs_diff(memoized.power(delta)), 0.0)
         << "delta " << delta;
   }
 }
@@ -111,7 +143,7 @@ TEST(TransitionModel, PrecomputedPowersMatchFallbackBitExactly) {
 TEST(TransitionModel, PowerViewLayoutsAreConsistent) {
   TransitionModel m = TransitionModel::tridiagonal(5);
   m.precompute_powers(4);
-  // Dense deltas and deltas beyond the table (served from the memo) get
+  // Slot deltas and deltas beyond the slots (served from the memo) get
   // the same padded layouts.
   for (const std::size_t delta : {0u, 1u, 2u, 3u, 4u, 9u, 40u}) {
     const math::simd_kernels::DeltaTables view = m.power_view(delta);
@@ -151,7 +183,7 @@ TEST(TransitionModel, PrecomputeIsIdempotentAndOnlyGrows) {
 }
 
 TEST(TransitionModel, ConcurrentOverflowLookupsAreSafeAndStable) {
-  // Many threads hammer deltas beyond the dense table; every returned
+  // Many threads hammer deltas beyond the slot array; every returned
   // reference must stay valid and correct (the memo is mutex-guarded and
   // std::map nodes are stable).
   TransitionModel m = TransitionModel::tridiagonal(5);
@@ -222,6 +254,108 @@ TEST(TransitionModel, CopyPreservesDenseTableAndIndependence) {
   EXPECT_EQ(copy.power(5).max_abs_diff(original.power(5)), 0.0);
   // Distinct storage: the copy serves its own matrices.
   EXPECT_NE(&copy.power(5), &original.power(5));
+}
+
+TEST(TransitionModel, FirstUseOrderIndependent) {
+  // make_entry depends only on A and Δ, so the order in which a model
+  // first builds its entries cannot change them.
+  std::vector<std::size_t> shuffled(kMaxTestDelta + 1);
+  std::iota(shuffled.begin(), shuffled.end(), std::size_t{0});
+  std::mt19937_64 rng(20);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+
+  const TransitionModel by_shuffle = default_window_model();
+  for (const std::size_t delta : shuffled) (void)by_shuffle.power_view(delta);
+  const TransitionModel ascending = default_window_model();
+  for (std::size_t delta = 0; delta <= kMaxTestDelta; ++delta) {
+    expect_views_bit_identical(by_shuffle.power_view(delta),
+                               ascending.power_view(delta),
+                               ascending.states(), delta);
+  }
+}
+
+TEST(TransitionModel, ConcurrentFirstUse) {
+  // 4 threads race first use of every Δ (slot and overflow range) on a
+  // fresh model: each slot is published once, so every thread must see
+  // the same storage, and the racing losers' copies must be freed. A
+  // larger k makes each build slow enough for the threads to collide.
+  const TransitionModel m = default_window_model(41);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<sk::DeltaTables>> seen(kThreads);
+  std::atomic<std::size_t> started{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Start together so the first uses really race, and alternate
+      // directions so threads collide on both ends.
+      started.fetch_add(1);
+      while (started.load() < kThreads) std::this_thread::yield();
+      for (std::size_t i = 0; i <= kMaxTestDelta; ++i) {
+        const std::size_t delta = t % 2 == 0 ? i : kMaxTestDelta - i;
+        seen[t].push_back(m.power_view(delta));
+      }
+      if (t % 2 == 1) std::reverse(seen[t].begin(), seen[t].end());
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const TransitionModel reference = default_window_model(41);
+  for (std::size_t delta = 0; delta <= kMaxTestDelta; ++delta) {
+    const sk::DeltaTables& first = seen[0][delta];
+    for (std::size_t t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t][delta].p, first.p) << "delta " << delta;
+      EXPECT_EQ(seen[t][delta].t, first.t) << "delta " << delta;
+      EXPECT_EQ(seen[t][delta].log_p, first.log_p) << "delta " << delta;
+      EXPECT_EQ(seen[t][delta].log_t, first.log_t) << "delta " << delta;
+    }
+    expect_views_bit_identical(first, reference.power_view(delta),
+                               m.states(), delta);
+  }
+}
+
+TEST(TransitionModel, CopyAndMoveOfPartlyFilledModelKeepViews) {
+  // Build a few slot entries and one overflow entry, leave the rest
+  // empty; a copy gets its own storage with the same contents (and
+  // builds the missing entries identically), a move keeps the storage.
+  TransitionModel original = default_window_model();
+  const std::vector<std::size_t> built = {0, 2, 5, 63, 70};
+  for (const std::size_t delta : built) (void)original.power_view(delta);
+
+  const TransitionModel copy = original;
+  EXPECT_EQ(copy.precomputed_powers(), original.precomputed_powers());
+  for (std::size_t delta = 0; delta <= kMaxTestDelta; ++delta) {
+    const sk::DeltaTables from_copy = copy.power_view(delta);
+    const sk::DeltaTables from_original = original.power_view(delta);
+    EXPECT_NE(from_copy.p, from_original.p) << "delta " << delta;
+    expect_views_bit_identical(from_copy, from_original, copy.states(),
+                               delta);
+  }
+
+  TransitionModel source = default_window_model();
+  std::vector<sk::DeltaTables> before;
+  for (const std::size_t delta : built) {
+    before.push_back(source.power_view(delta));
+  }
+  const TransitionModel moved = std::move(source);
+  EXPECT_EQ(moved.precomputed_powers(), 65u);
+  // A moved-from model keeps no slots.
+  EXPECT_EQ(source.precomputed_powers(), 0u);
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    const sk::DeltaTables after = moved.power_view(built[i]);
+    EXPECT_EQ(after.p, before[i].p) << "delta " << built[i];
+    expect_views_bit_identical(after, original.power_view(built[i]),
+                               moved.states(), built[i]);
+  }
+
+  TransitionModel assigned = TransitionModel::tridiagonal(7);
+  assigned.precompute_powers(4);
+  (void)assigned.power_view(1);  // freed by the assignment below
+  assigned = copy;
+  for (std::size_t delta = 0; delta <= kMaxTestDelta; ++delta) {
+    expect_views_bit_identical(assigned.power_view(delta),
+                               original.power_view(delta), copy.states(),
+                               delta);
+  }
 }
 
 }  // namespace

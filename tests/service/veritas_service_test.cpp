@@ -291,7 +291,6 @@ TEST(VeritasService, TrySubmitReportsFullQueue) {
   core::VeritasConfig heavy = config_a();
   heavy.epsilon_mbps = 0.1;
   heavy.max_mbps = 30.0;
-  heavy.precomputed_powers = 4;  // keep the big-k engine build cheap
   service.add_shard("main", heavy);
   const auto logs = make_logs(1);
 
