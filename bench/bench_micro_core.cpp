@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the core inference primitives:
 // Viterbi, forward-backward, posterior sampling, transition powers, the
-// TCP simulator, the estimator f and the MPC horizon search, plus a full
-// end-to-end infer().
+// TCP simulator, the estimator f and the MPC horizon search, session-log
+// parsing, plus a full end-to-end infer().
 //
 // Benchmarks that exercise the EHMM kernels take a `simd` argument:
 // /simd:0 forces the scalar reference table, /simd:1 the bit-exact
@@ -18,6 +18,7 @@
 #include "net/network_path.hpp"
 #include "net/throughput_estimator.hpp"
 #include "sim/session.hpp"
+#include "sim/session_log.hpp"
 #include "trace/trace_generator.hpp"
 #include "util/trace.hpp"
 #include "video/ladder_presets.hpp"
@@ -587,6 +588,18 @@ void BM_MpcSession(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpcSession);
+
+// Reading one recorded 300-chunk MPC session log from its CSV text: the
+// ingestion step every what-if query starts with (sim.parse_us in the
+// traced perfbench run).
+void BM_ParseSessionLog(benchmark::State& state) {
+  const std::string csv = sim::to_csv(shared_log());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::session_log_from_csv(csv));
+  }
+  state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(csv.size()));
+}
+BENCHMARK(BM_ParseSessionLog);
 
 // The observability tax (PR 8): a TraceSpan site when tracing is
 // disabled costs one relaxed atomic load (or, with the macro compiled

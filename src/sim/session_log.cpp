@@ -1,6 +1,9 @@
 #include "sim/session_log.hpp"
 
+#include <array>
+#include <cmath>
 #include <sstream>
+#include <string_view>
 
 #include "util/csv.hpp"
 #include "util/expects.hpp"
@@ -17,13 +20,38 @@ SessionLog SessionLog::prefix(std::size_t n) const {
   return out;
 }
 
+namespace {
+
+/// Session-log CSV columns, in the order to_csv() writes them.
+enum Column : std::size_t {
+  kIndex, kQuality, kSize, kStart, kEnd, kCwnd, kSsthresh, kRto, kMinRtt,
+  kRtt, kLastSendGap, kBuffer, kChunkDuration, kSessionRtt, kColumnCount
+};
+
+constexpr std::array<std::string_view, kColumnCount> kColumnNames{
+    "index",  "quality",  "size_bytes", "start_s",   "end_s",
+    "cwnd",   "ssthresh", "rto_s",      "min_rtt_s", "rtt_s",
+    "last_send_gap_s",    "buffer_s",   "chunk_duration_s",
+    "session_rtt_s"};
+
+/// Every whole number up to 2^53 is exact in a double.
+constexpr double kMaxWholeNumber = 9007199254740992.0;
+
+/// A chunk index or ladder rung: a whole number >= 0 that fits size_t.
+std::size_t whole_number(const util::NumericCsvReader& row, Column k) {
+  const double v = row[k];
+  if (!(v >= 0.0 && v <= kMaxWholeNumber && v == std::floor(v))) {
+    row.reject(k, "not a whole number >= 0");
+  }
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace
+
 std::string to_csv(const SessionLog& log) {
   std::ostringstream out;
   util::CsvWriter writer(out);
-  writer.header({"index", "quality", "size_bytes", "start_s", "end_s",
-                 "cwnd", "ssthresh", "rto_s", "min_rtt_s", "rtt_s",
-                 "last_send_gap_s", "buffer_s", "chunk_duration_s",
-                 "session_rtt_s"});
+  writer.header({kColumnNames.begin(), kColumnNames.end()});
   for (const ChunkLog& c : log.chunks) {
     writer.row(std::vector<double>{
         static_cast<double>(c.index), static_cast<double>(c.quality),
@@ -37,24 +65,28 @@ std::string to_csv(const SessionLog& log) {
 }
 
 SessionLog session_log_from_csv(const std::string& text) {
-  const util::CsvTable table = util::parse_csv(text);
+  util::NumericCsvReader row(text, kColumnNames);
   SessionLog log;
-  for (std::size_t r = 0; r < table.rows.size(); ++r) {
+  while (row.next()) {
     ChunkLog c;
-    c.index = static_cast<std::size_t>(table.number(r, "index"));
-    c.quality = static_cast<std::size_t>(table.number(r, "quality"));
-    c.size_bytes = table.number(r, "size_bytes");
-    c.start_s = table.number(r, "start_s");
-    c.end_s = table.number(r, "end_s");
-    c.tcp_at_start.cwnd_segments = table.number(r, "cwnd");
-    c.tcp_at_start.ssthresh_segments = table.number(r, "ssthresh");
-    c.tcp_at_start.rto_s = table.number(r, "rto_s");
-    c.tcp_at_start.min_rtt_s = table.number(r, "min_rtt_s");
-    c.tcp_at_start.rtt_s = table.number(r, "rtt_s");
-    c.tcp_at_start.last_send_gap_s = table.number(r, "last_send_gap_s");
-    c.buffer_at_start_s = table.number(r, "buffer_s");
-    log.chunk_duration_s = table.number(r, "chunk_duration_s");
-    log.rtt_s = table.number(r, "session_rtt_s");
+    c.index = whole_number(row, kIndex);
+    c.quality = whole_number(row, kQuality);
+    c.size_bytes = row[kSize];
+    c.start_s = row[kStart];
+    c.end_s = row[kEnd];
+    if (!(c.size_bytes > 0.0)) row.reject(kSize, "must be positive");
+    if (!(c.end_s > c.start_s)) row.reject(kEnd, "must be after start_s");
+    // A window of no segments never opens: the round count would not end.
+    if (!(row[kCwnd] > 0.0)) row.reject(kCwnd, "must be positive");
+    c.tcp_at_start.cwnd_segments = row[kCwnd];
+    c.tcp_at_start.ssthresh_segments = row[kSsthresh];
+    c.tcp_at_start.rto_s = row[kRto];
+    c.tcp_at_start.min_rtt_s = row[kMinRtt];
+    c.tcp_at_start.rtt_s = row[kRtt];
+    c.tcp_at_start.last_send_gap_s = row[kLastSendGap];
+    c.buffer_at_start_s = row[kBuffer];
+    log.chunk_duration_s = row[kChunkDuration];
+    log.rtt_s = row[kSessionRtt];
     log.chunks.push_back(c);
   }
   return log;

@@ -50,7 +50,11 @@ struct SessionLog {
 /// CSV serialization (one row per chunk).
 std::string to_csv(const SessionLog& log);
 
-/// Parses to_csv() output.
+/// Parses to_csv() output; the columns may come in any order and extra
+/// columns are ignored. Throws ContractViolation naming the line and the
+/// column when a column is missing or repeated, a cell is not a finite
+/// number, index or quality is not a whole number >= 0, size_bytes <= 0,
+/// end_s <= start_s, or cwnd <= 0.
 SessionLog session_log_from_csv(const std::string& text);
 
 }  // namespace veritas::sim

@@ -1,9 +1,11 @@
 #include "trace/trace_io.hpp"
 
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/csv.hpp"
 #include "util/expects.hpp"
@@ -13,12 +15,16 @@ namespace veritas::trace {
 namespace {
 constexpr double kMahimahiPacketBytes = 1500.0;
 constexpr double kMahimahiPacketMbit = kMahimahiPacketBytes * 8.0 / 1e6;
+
+/// Trace CSV columns, in the order to_csv() writes them.
+enum Column : std::size_t { kTime, kMbps };
+constexpr std::array<std::string_view, 2> kColumnNames{"time_s", "mbps"};
 }  // namespace
 
 std::string to_csv(const BandwidthTrace& trace) {
   std::ostringstream out;
   util::CsvWriter writer(out);
-  writer.header({"time_s", "mbps"});
+  writer.header({kColumnNames.begin(), kColumnNames.end()});
   const auto values = trace.values_mbps();
   for (std::size_t i = 0; i < values.size(); ++i) {
     writer.row(std::vector<double>{static_cast<double>(i) * trace.interval_s(),
@@ -28,25 +34,26 @@ std::string to_csv(const BandwidthTrace& trace) {
 }
 
 BandwidthTrace from_csv(const std::string& text) {
-  const util::CsvTable table = util::parse_csv(text);
-  VERITAS_EXPECTS(!table.rows.empty());
+  util::NumericCsvReader row(text, kColumnNames);
   std::vector<double> values;
-  values.reserve(table.rows.size());
   double interval = 1.0;
   double prev_time = 0.0;
-  for (std::size_t r = 0; r < table.rows.size(); ++r) {
-    const double t = table.number(r, "time_s");
-    const double v = table.number(r, "mbps");
-    if (r == 1) {
+  while (row.next()) {
+    const double t = row[kTime];
+    if (values.size() == 1) {
       interval = t - prev_time;
-      VERITAS_EXPECTS(interval > 0.0);
-    } else if (r > 1) {
-      VERITAS_EXPECTS(std::abs((t - prev_time) - interval) < 1e-6);
+      if (!(interval > 0.0 && std::isfinite(interval))) {
+        row.reject(kTime, "must increase by a finite step");
+      }
+    } else if (values.size() > 1 &&
+               !(std::abs((t - prev_time) - interval) < 1e-6)) {
+      row.reject(kTime, "windows must be uniformly spaced");
     }
+    if (!(row[kMbps] >= 0.0)) row.reject(kMbps, "must be >= 0");
     prev_time = t;
-    values.push_back(v);
+    values.push_back(row[kMbps]);
   }
-  if (table.rows.size() == 1) interval = 1.0;
+  VERITAS_EXPECTS(!values.empty());
   return BandwidthTrace(interval, std::move(values));
 }
 

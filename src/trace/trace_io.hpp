@@ -14,7 +14,11 @@ namespace veritas::trace {
 /// Serializes as CSV with header "time_s,mbps"; one row per window start.
 std::string to_csv(const BandwidthTrace& trace);
 
-/// Parses the to_csv() format. Windows must be uniformly spaced.
+/// Parses the to_csv() format (columns in any order, extra ones ignored).
+/// Throws ContractViolation, naming the line and the column where it can,
+/// when a column is missing or repeated, a cell is not a finite number, a
+/// rate is negative, the windows are not uniformly spaced at a positive
+/// step, or there is no window.
 BandwidthTrace from_csv(const std::string& text);
 
 /// Writes to_csv() output to a file. Throws std::runtime_error on failure.

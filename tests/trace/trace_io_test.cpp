@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "trace/trace_generator.hpp"
+#include "util/expects.hpp"
 
 namespace veritas::trace {
 namespace {
@@ -44,6 +49,53 @@ TEST(TraceCsv, FileRoundTrip) {
 
 TEST(TraceCsv, ReadMissingFileThrows) {
   EXPECT_THROW(read_csv_file("/nonexistent/veritas.csv"), std::runtime_error);
+}
+
+TEST(TraceCsv, RoundTripIsBitExactAcrossFamilies) {
+  for (const auto family : {TraceFamily::kFccLike, TraceFamily::kPoor,
+                            TraceFamily::kWideRange}) {
+    const BandwidthTrace t = make_traces(family, 1, 77)[0];
+    const BandwidthTrace r = from_csv(to_csv(t));
+    EXPECT_EQ(r.interval_s(), t.interval_s()) << family_name(family);
+    EXPECT_TRUE(std::ranges::equal(r.values_mbps(), t.values_mbps()))
+        << family_name(family);
+  }
+}
+
+TEST(TraceCsv, AnyColumnOrderAndExtraColumns) {
+  const BandwidthTrace r =
+      from_csv("mbps,\"note, quoted\",time_s\r\n1.5,x,0\r\n\"2.5\",,2\r\n");
+  EXPECT_EQ(r.interval_s(), 2.0);
+  EXPECT_TRUE(
+      std::ranges::equal(r.values_mbps(), std::vector<double>{1.5, 2.5}));
+}
+
+/// The message from_csv() throws on `csv`.
+std::string rejection(const std::string& csv) {
+  try {
+    from_csv(csv);
+  } catch (const veritas::ContractViolation& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "accepted:\n" << csv;
+  return {};
+}
+
+TEST(TraceCsv, RejectsMalformedInput) {
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"time_s,mbps\n0,1\n1,nan\n", "line 3, column 'mbps'"},
+      {"time_s,mbps\n0,1\n1,inf\n", "line 3, column 'mbps'"},
+      {"time_s,mbps\n0,1\n1,-1\n", "line 3, column 'mbps': must be >= 0"},
+      {"time_s\n", "missing column 'mbps'"},
+      {"time_s,mbps,mbps\n0,1,2\n", "duplicate column 'mbps'"},
+      {"time_s,mbps\n", "Precondition"},
+      {"time_s,mbps\n1,1\n1,1\n", "line 3, column 'time_s': must increase"},
+      {"time_s,mbps\n0,1\n1,1\n3,1\n", "line 4, column 'time_s'"},
+      {"time_s,mbps\n-1e308,1\n1e308,1\n", "line 3, column 'time_s'"},
+  };
+  for (const auto& [csv, expected] : cases) {
+    EXPECT_NE(rejection(csv).find(expected), std::string::npos) << csv;
+  }
 }
 
 TEST(Mahimahi, ConstantRateRoundTrip) {
