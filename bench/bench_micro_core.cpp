@@ -336,7 +336,7 @@ BENCHMARK(BM_TransitionPower)->Arg(2)->Arg(16)->Arg(128);
 // Steady-state lookup of a built power: inside the slot window (one
 // acquire load) vs past it (shared-lock memo find; delta 200 is built
 // on the first call). Entries are built on first use either way, so the
-// window size (VeritasConfig::precomputed_powers) costs no build time;
+// window size (Ehmm::kDefaultPrecomputedPowers) costs no build time;
 // it only decides which gap lengths get the lock-free lookup.
 void BM_TransitionPowerLookup(benchmark::State& state) {
   static const core::TransitionModel model = [] {

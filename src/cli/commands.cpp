@@ -66,7 +66,6 @@ core::VeritasConfig config_from_flags(const CommandLine& cmd) {
   cfg.sigma_mbps = cmd.number("--sigma", cfg.sigma_mbps);
   cfg.max_mbps = cmd.number("--max-mbps", cfg.max_mbps);
   cfg.seed = cmd.count("--seed", cfg.seed);
-  cfg.precomputed_powers = cmd.count("--powers", cfg.precomputed_powers);
   return cfg;
 }
 
@@ -283,22 +282,25 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
     if (not_served > 0) out << " not_served=" << not_served;
     out << "\n";
   }
+  // The outcomes from `rejected` on, as `name=value`, in table order.
+  const auto outcome_run = [&out](const service::OutcomeCounts& counts) {
+    for (const service::OutcomeRow& row : service::kOutcomeTable) {
+      if (row.outcome < service::Outcome::kRejected) continue;
+      out << ' ' << row.name << '=' << counts.*row.field;
+    }
+  };
   const service::ServiceStats stats = service.stats();
   out << "served " << stats.submitted << " queries (" << stats.computed
-      << " computed, " << stats.cache_hits << " from cache)"
-      << " rejected=" << stats.rejected << " timed_out=" << stats.timed_out
-      << " shed=" << stats.shed << " failed=" << stats.failed
-      << " degraded=" << stats.degraded << " stale_hits=" << stats.stale_hits
-      << " queue_depth=" << stats.queue_depth
+      << " computed, " << stats.cache_hits << " from cache)";
+  outcome_run(stats);
+  out << " queue_depth=" << stats.queue_depth
       << (stats.reconciled() ? "" : " [counters NOT reconciled]") << "\n";
   for (const service::ShardStats& s : service.shard_stats()) {
     out << "shard '" << s.name << "' epoch=" << s.epoch
         << " submitted=" << s.submitted << " computed=" << s.computed
-        << " hits=" << s.cache_hits << " misses=" << s.cache_misses
-        << " rejected=" << s.rejected << " timed_out=" << s.timed_out
-        << " shed=" << s.shed << " failed=" << s.failed
-        << " degraded=" << s.degraded << " stale_hits=" << s.stale_hits
-        << " latency_us(p50/p95/p99)=" << s.latency_p50_us << "/"
+        << " hits=" << s.cache_hits << " misses=" << s.cache_misses;
+    outcome_run(s);
+    out << " latency_us(p50/p95/p99)=" << s.latency_p50_us << "/"
         << s.latency_p95_us << "/" << s.latency_p99_us << " (n="
         << s.latency_count << ")\n";
   }
@@ -421,7 +423,6 @@ std::string usage() {
       "                  random|fixed:K] [--buffer S] [--rtt S] [--ladder default|high]\n"
       "  infer           --log LOG [--out-prefix P] [--samples K] [--delta S]\n"
       "                  [--epsilon MBPS] [--sigma MBPS] [--max-mbps MBPS]\n"
-      "                  [--powers N]   (lock-free A^Δ slot count)\n"
       "  replay          --trace FILE [--abr NAME] [--buffer S] [--ladder NAME]\n"
       "  whatif          --log LOG [--abr NAME] [--buffer S] [--ladder NAME]\n"
       "                  [--samples K]   (production what-if: no ground truth)\n"

@@ -52,7 +52,8 @@ class Ehmm {
   /// Lock-free A^Δ slot count sized at construction; every entry is
   /// built on first use. Δ beyond the slots goes to the
   /// TransitionModel's read-mostly memo, in the same layout and through
-  /// the same kernels (identical results).
+  /// the same kernels (identical results), so engines do not configure
+  /// it; only tests and benches that exercise the memo pass another.
   static constexpr std::size_t kDefaultPrecomputedPowers = 64;
 
   /// Cap on the multi-window emission span (kMultiWindow estimator).

@@ -28,7 +28,7 @@ Ehmm build_ehmm(const VeritasConfig& config) {
   }();
   EmissionModel emission(config.sigma_mbps, config.tcp, config.estimator);
   return Ehmm(std::move(space), std::move(transition), std::move(emission),
-              config.delta_s, config.precomputed_powers);
+              config.delta_s);
 }
 
 }  // namespace

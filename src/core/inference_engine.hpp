@@ -46,14 +46,6 @@ struct VeritasConfig {
   SamplerConfig sampler;
   net::TcpConfig tcp;
   std::uint64_t seed = 1234;
-  /// Size of the transition model's lock-free A^Δ slot array: window
-  /// deltas below this are looked up with one atomic load, deltas at or
-  /// beyond it from the read-mostly shared_mutex memo (see
-  /// bench_micro_core BM_TransitionPower*). Every entry is built on first
-  /// use either way, so the window costs no build time and only a
-  /// pointer per slot of memory. Results never depend on it: raise it
-  /// for workloads with long in-session gaps.
-  std::size_t precomputed_powers = Ehmm::kDefaultPrecomputedPowers;
   /// Byte budget of the engine-owned cross-session (W, S) estimator
   /// cache shared by every scratch the engine serves (see
   /// core/estimator_cache.hpp; converted to an entry count from the

@@ -24,8 +24,8 @@
 // kept in a read-mostly shared_mutex memo (shared-lock hits,
 // exclusive-lock first-compute), so arbitrarily long session gaps run
 // through the same kernels and give the same results. The slot count
-// (VeritasConfig::precomputed_powers) therefore only decides which
-// lookups are lock-free; it never changes an inference result.
+// therefore only decides which lookups are lock-free; it never changes
+// an inference result (engines use Ehmm::kDefaultPrecomputedPowers).
 #pragma once
 
 #include <atomic>

@@ -16,6 +16,21 @@ namespace veritas::service {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+/// One terminal outcome per non-ok code — the reconciliation
+/// invariant's other half.
+Outcome outcome_of(StatusCode code) {
+  switch (code) {
+    case StatusCode::kRejected: return Outcome::kRejected;
+    case StatusCode::kShed: return Outcome::kShed;
+    case StatusCode::kDeadlineExceeded: return Outcome::kTimedOut;
+    case StatusCode::kNotFound:
+    case StatusCode::kInternal:
+    case StatusCode::kOk:  // unreachable: Expected rejects ok statuses
+      break;
+  }
+  return Outcome::kFailed;
+}
 }  // namespace
 
 std::size_t VeritasService::CacheKeyHash::operator()(
@@ -193,14 +208,8 @@ bool VeritasService::serve_from_cache(Job& job, std::uint64_t epoch,
   // peek: the miss is counted only once the query is really accepted.
   std::optional<CachedPayload> payload = cache_.peek(key);
   if (!payload) return false;
-  totals_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-  job.shard.counters->outcomes.cache_hits.fetch_add(1,
-                                                    std::memory_order_relaxed);
-  if (stale) {
-    totals_.stale_hits.fetch_add(1, std::memory_order_relaxed);
-    job.shard.counters->outcomes.stale_hits.fetch_add(
-        1, std::memory_order_relaxed);
-  }
+  count(job.shard.counters, Outcome::kCacheHit);
+  if (stale) count(job.shard.counters, Outcome::kStaleHit);
   InferenceResult result;
   result.abduction = std::move(payload->abduction);
   result.predictions = std::move(payload->predictions);
@@ -215,59 +224,45 @@ bool VeritasService::serve_from_cache(Job& job, std::uint64_t epoch,
 void VeritasService::finish_with_status(Job& job, Status status) {
   if (job.done) return;
   job.done = true;
-  // One terminal bucket per non-ok code — this switch is the
-  // reconciliation invariant's other half.
-  std::atomic<std::uint64_t> OutcomeCounters::* bucket = nullptr;
-  switch (status.code()) {
-    case StatusCode::kRejected:
-      bucket = &OutcomeCounters::rejected;
-      break;
-    case StatusCode::kShed:
-      bucket = &OutcomeCounters::shed;
-      break;
-    case StatusCode::kDeadlineExceeded:
-      bucket = &OutcomeCounters::timed_out;
-      break;
-    case StatusCode::kNotFound:
-    case StatusCode::kInternal:
-    case StatusCode::kOk:  // unreachable: Expected rejects ok statuses
-      bucket = &OutcomeCounters::failed;
-      break;
-  }
-  (totals_.*bucket).fetch_add(1, std::memory_order_relaxed);
-  if (job.shard.counters != nullptr) {
-    (job.shard.counters->outcomes.*bucket)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
+  count(job.shard.counters, outcome_of(status.code()));
   job.promise.set_value(Expected<InferenceResult>(std::move(status)));
 }
 
-void VeritasService::count_submitted(const Job& job) {
-  totals_.submitted.fetch_add(1, std::memory_order_relaxed);
-  if (job.shard.counters != nullptr) {
-    job.shard.counters->outcomes.submitted.fetch_add(
-        1, std::memory_order_relaxed);
+void VeritasService::count(const std::shared_ptr<ShardCounters>& shard,
+                           Outcome outcome) {
+  const auto i = static_cast<std::size_t>(outcome);
+  totals_[i].fetch_add(1, std::memory_order_relaxed);
+  if (shard != nullptr) {
+    shard->outcomes[i].fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+OutcomeCounts VeritasService::snapshot(const OutcomeCounters& counters) {
+  OutcomeCounts out;
+  for (std::size_t i = 0; i < kNumOutcomes; ++i) {
+    out.*kOutcomeTable[i].field = counters[i].load(std::memory_order_relaxed);
+  }
+  return out;
 }
 
 bool VeritasService::admit_or_resolve(Job& job) {
   const util::ScopedQueryId scoped_query(job.trace_id);
   VERITAS_TRACE_SPAN("service.admit", "service");
   if (job.shard.veritas == nullptr) {
-    count_submitted(job);
+    count(job.shard.counters, Outcome::kSubmitted);
     finish_with_status(job,
                        Status::not_found("unknown shard: " + job.query.shard));
     return true;
   }
   const QueryOptions& qopts = job.query.options;
   if (qopts.deadline && Clock::now() >= *qopts.deadline) {
-    count_submitted(job);
+    count(job.shard.counters, Outcome::kSubmitted);
     finish_with_status(
         job, Status::deadline_exceeded("deadline expired before admission"));
     return true;
   }
   if (serve_from_cache(job, job.shard.epoch, /*stale=*/false)) {
-    count_submitted(job);
+    count(job.shard.counters, Outcome::kSubmitted);
     return true;
   }
   if (overloaded()) {
@@ -278,12 +273,12 @@ bool VeritasService::admit_or_resolve(Job& job) {
     if (policy.serve_stale_hits && qopts.allow_degraded &&
         job.shard.has_prev_epoch &&
         serve_from_cache(job, job.shard.prev_epoch, /*stale=*/true)) {
-      count_submitted(job);
+      count(job.shard.counters, Outcome::kSubmitted);
       return true;
     }
     if (policy.shed_lowest_priority &&
         qopts.priority == Priority::kBackground) {
-      count_submitted(job);
+      count(job.shard.counters, Outcome::kSubmitted);
       finish_with_status(
           job, Status::shed("overloaded: background query shed at admission"));
       return true;
@@ -294,7 +289,7 @@ bool VeritasService::admit_or_resolve(Job& job) {
     }
   }
   if (VERITAS_FAILPOINT("service.queue.push")) {
-    count_submitted(job);
+    count(job.shard.counters, Outcome::kSubmitted);
     finish_with_status(job, Status::rejected("failpoint: service.queue.push"));
     return true;
   }
@@ -308,7 +303,7 @@ std::future<Expected<InferenceResult>> VeritasService::submit(Query query) {
 
   // From here the future is handed out no matter what the queue says —
   // a failed push resolves it with a status instead of throwing.
-  count_submitted(job);
+  count(job.shard.counters, Outcome::kSubmitted);
   if (job.trace_id != 0) job.enqueue_time = Clock::now();
   const std::shared_ptr<ShardCounters> counters = job.shard.counters;
   const std::size_t prio =
@@ -345,11 +340,7 @@ std::future<Expected<InferenceResult>> VeritasService::submit(Query query) {
 
   switch (outcome) {
     case util::PushOutcome::kAccepted:
-      if (options_.cache_capacity > 0) {
-        totals_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-        counters->outcomes.cache_misses.fetch_add(1,
-                                                  std::memory_order_relaxed);
-      }
+      if (options_.cache_capacity > 0) count(counters, Outcome::kCacheMiss);
       break;
     case util::PushOutcome::kTimedOut:
       // Which bound bit? The query's own deadline reads as a missed
@@ -388,12 +379,8 @@ std::optional<std::future<Expected<InferenceResult>>> VeritasService::try_submit
     // trace, and the caller still owns retry policy.
     return std::nullopt;
   }
-  totals_.submitted.fetch_add(1, std::memory_order_relaxed);
-  counters->outcomes.submitted.fetch_add(1, std::memory_order_relaxed);
-  if (options_.cache_capacity > 0) {
-    totals_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    counters->outcomes.cache_misses.fetch_add(1, std::memory_order_relaxed);
-  }
+  count(counters, Outcome::kSubmitted);
+  if (options_.cache_capacity > 0) count(counters, Outcome::kCacheMiss);
   return future;
 }
 
@@ -441,20 +428,10 @@ std::vector<ShardStats> VeritasService::shard_stats() const {
     const std::lock_guard<std::mutex> lock(registry_mutex_);
     out.reserve(shards_.size());
     for (const auto& [name, shard] : shards_) {
-      const OutcomeCounters& c = shard.counters->outcomes;
       ShardStats s;
+      static_cast<OutcomeCounts&>(s) = snapshot(shard.counters->outcomes);
       s.name = name;
       s.epoch = shard.epoch;
-      s.submitted = c.submitted.load(std::memory_order_relaxed);
-      s.computed = c.computed.load(std::memory_order_relaxed);
-      s.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
-      s.cache_misses = c.cache_misses.load(std::memory_order_relaxed);
-      s.rejected = c.rejected.load(std::memory_order_relaxed);
-      s.timed_out = c.timed_out.load(std::memory_order_relaxed);
-      s.shed = c.shed.load(std::memory_order_relaxed);
-      s.failed = c.failed.load(std::memory_order_relaxed);
-      s.degraded = c.degraded.load(std::memory_order_relaxed);
-      s.stale_hits = c.stale_hits.load(std::memory_order_relaxed);
       s.in_flight =
           shard.counters->in_flight.load(std::memory_order_relaxed);
       const util::LatencyHistogram::Snapshot latency =
@@ -476,16 +453,7 @@ std::vector<ShardStats> VeritasService::shard_stats() const {
 ServiceStats VeritasService::stats() const {
   const auto cache = cache_.stats();
   ServiceStats s;
-  s.submitted = totals_.submitted.load(std::memory_order_relaxed);
-  s.computed = totals_.computed.load(std::memory_order_relaxed);
-  s.cache_hits = totals_.cache_hits.load(std::memory_order_relaxed);
-  s.cache_misses = totals_.cache_misses.load(std::memory_order_relaxed);
-  s.rejected = totals_.rejected.load(std::memory_order_relaxed);
-  s.timed_out = totals_.timed_out.load(std::memory_order_relaxed);
-  s.shed = totals_.shed.load(std::memory_order_relaxed);
-  s.failed = totals_.failed.load(std::memory_order_relaxed);
-  s.degraded = totals_.degraded.load(std::memory_order_relaxed);
-  s.stale_hits = totals_.stale_hits.load(std::memory_order_relaxed);
+  static_cast<OutcomeCounts&>(s) = snapshot(totals_);
   s.cache_evictions = cache.evictions;
   s.cache_entries = cache.entries;
   s.queue_depth_by_priority = queue_.depths();
@@ -503,45 +471,40 @@ void VeritasService::register_metrics(util::MetricsRegistry& registry) const {
   using Registry = util::MetricsRegistry;
   using Sample = Registry::Sample;
   const auto count = [](std::uint64_t v) { return static_cast<double>(v); };
+  const auto total = [this, count](Outcome outcome) {
+    return count(totals_[static_cast<std::size_t>(outcome)].load(
+        std::memory_order_relaxed));
+  };
 
   registry.add_counter(
       "veritas_queries_submitted_total", "Futures handed out, all outcomes.",
-      {}, [this, count] {
-        return count(totals_.submitted.load(std::memory_order_relaxed));
-      });
+      {}, [total] { return total(Outcome::kSubmitted); });
   registry.add_counter(
       "veritas_queries_total",
       "Terminal query outcomes; at quiescence the sum equals "
       "veritas_queries_submitted_total.",
       [this, count] {
-        const ServiceStats s = stats();
-        return std::vector<Sample>{
-            {{{"outcome", "computed"}}, count(s.computed)},
-            {{{"outcome", "cache_hit"}}, count(s.cache_hits)},
-            {{{"outcome", "rejected"}}, count(s.rejected)},
-            {{{"outcome", "timed_out"}}, count(s.timed_out)},
-            {{{"outcome", "shed"}}, count(s.shed)},
-            {{{"outcome", "failed"}}, count(s.failed)},
-        };
+        const OutcomeCounts s = snapshot(totals_);
+        std::vector<Sample> out;
+        for (const OutcomeRow& row : kOutcomeTable) {
+          if (row.metric_label == nullptr) continue;
+          out.push_back(
+              {{{"outcome", row.metric_label}}, count(s.*row.field)});
+        }
+        return out;
       });
   registry.add_counter(
       "veritas_queries_degraded_total",
       "Queries computed with a reduced posterior sample count.", {},
-      [this, count] {
-        return count(totals_.degraded.load(std::memory_order_relaxed));
-      });
+      [total] { return total(Outcome::kDegraded); });
   registry.add_counter(
       "veritas_stale_hits_total",
       "Cache hits served from a shard's previous epoch under overload.", {},
-      [this, count] {
-        return count(totals_.stale_hits.load(std::memory_order_relaxed));
-      });
+      [total] { return total(Outcome::kStaleHit); });
   registry.add_counter(
       "veritas_result_cache_misses_total",
       "Queries accepted into the queue after missing the result cache.", {},
-      [this, count] {
-        return count(totals_.cache_misses.load(std::memory_order_relaxed));
-      });
+      [total] { return total(Outcome::kCacheMiss); });
   registry.add_counter("veritas_result_cache_evictions_total",
                        "Result-cache LRU evictions.", {}, [this, count] {
                          return count(cache_.stats().evictions);
@@ -563,20 +526,25 @@ void VeritasService::register_metrics(util::MetricsRegistry& registry) const {
   registry.add_gauge("veritas_overloaded",
                      "1 while the overload detector is armed.", {},
                      [this] { return overloaded() ? 1.0 : 0.0; });
-  // The PR 6 reconciliation invariant as a scrapeable self-check:
-  // submitted minus the six terminal buckets. In-flight and queued work
-  // makes it transiently positive; a nonzero value at quiescence means
-  // a query was double-counted or lost (the chaos suite's book-keeping
-  // bug, now visible on a dashboard).
+  // The reconciliation invariant as a scrapeable self-check: submitted
+  // minus the terminal buckets. In-flight and queued work makes it
+  // transiently positive; a nonzero value at quiescence means a query
+  // was double-counted or lost (the chaos suite's book-keeping bug,
+  // visible on a dashboard).
+  std::string terminal_sum;
+  for (const OutcomeRow& row : kOutcomeTable) {
+    if (!row.terminal) continue;
+    if (!terminal_sum.empty()) terminal_sum += " + ";
+    terminal_sum += row.name;
+  }
   registry.add_gauge(
       "veritas_unreconciled_queries",
-      "submitted - (computed + cache_hits + rejected + timed_out + shed + "
-      "failed); transient in-flight work only, 0 at quiescence.",
+      "submitted - (" + terminal_sum +
+          "); transient in-flight work only, 0 at quiescence.",
       {}, [this] {
-        const ServiceStats s = stats();
+        const OutcomeCounts s = snapshot(totals_);
         return static_cast<double>(s.submitted) -
-               static_cast<double>(s.computed + s.cache_hits + s.rejected +
-                                   s.timed_out + s.shed + s.failed);
+               static_cast<double>(s.terminal_total());
       });
   registry.add_histogram(
       "veritas_compute_latency_us",
@@ -601,16 +569,10 @@ void VeritasService::register_metrics(util::MetricsRegistry& registry) const {
       [this, count] {
         std::vector<Sample> out;
         for (const ShardStats& s : shard_stats()) {
-          const Registry::Labels base{{"shard", s.name}};
-          const std::pair<const char*, std::uint64_t> outcomes[] = {
-              {"computed", s.computed},   {"cache_hit", s.cache_hits},
-              {"rejected", s.rejected},   {"timed_out", s.timed_out},
-              {"shed", s.shed},           {"failed", s.failed},
-          };
-          for (const auto& [name, value] : outcomes) {
-            Registry::Labels labels = base;
-            labels.emplace_back("outcome", name);
-            out.push_back({std::move(labels), count(value)});
+          for (const OutcomeRow& row : kOutcomeTable) {
+            if (row.metric_label == nullptr) continue;
+            out.push_back({{{"shard", s.name}, {"outcome", row.metric_label}},
+                           count(s.*row.field)});
           }
         }
         return out;
@@ -813,14 +775,8 @@ Expected<InferenceResult> VeritasService::execute(
             .count());
     latency_.record_us(us);
     job.shard.counters->latency.record_us(us);
-    totals_.computed.fetch_add(1, std::memory_order_relaxed);
-    job.shard.counters->outcomes.computed.fetch_add(1,
-                                                    std::memory_order_relaxed);
-    if (job.degrade_samples) {
-      totals_.degraded.fetch_add(1, std::memory_order_relaxed);
-      job.shard.counters->outcomes.degraded.fetch_add(
-          1, std::memory_order_relaxed);
-    }
+    count(job.shard.counters, Outcome::kComputed);
+    if (job.degrade_samples) count(job.shard.counters, Outcome::kDegraded);
     // Degraded results are partial answers — caching one would serve a
     // truncated posterior to a later full-fidelity query.
     if (options_.cache_capacity > 0 && !job.degrade_samples) {

@@ -199,13 +199,17 @@ struct ServiceOptions {
   OverloadPolicy overload;
 };
 
-/// Point-in-time counters. Gauges (queue depths, in-flight, overloaded)
-/// are instantaneous; the rest are monotonic over the service lifetime.
-/// Every future the service ever handed out lands in exactly one
-/// terminal bucket, so at quiescence the breakdown reconciles exactly:
-///   submitted == computed + cache_hits + rejected + timed_out
-///                + shed + failed
-struct ServiceStats {
+/// Everything the service counts per future. Counters, snapshots,
+/// reconciled(), metric families and the `serve` printout all loop over
+/// kOutcomeTable, so adding an outcome is one enum value plus one row.
+enum class Outcome : std::uint8_t {
+  kSubmitted, kComputed, kCacheHit, kCacheMiss, kRejected,
+  kTimedOut,  kShed,     kFailed,   kDegraded,  kStaleHit,
+};
+
+/// Snapshot of the monotonic outcome counters. Every future handed out
+/// lands in exactly one terminal bucket, so at quiescence they reconcile.
+struct OutcomeCounts {
   std::uint64_t submitted = 0;   ///< futures handed out (all outcomes)
   std::uint64_t computed = 0;    ///< ran inference (degraded included)
   std::uint64_t cache_hits = 0;  ///< answered from cache (stale included)
@@ -216,19 +220,67 @@ struct ServiceStats {
   std::uint64_t failed = 0;      ///< unknown shard or internal error
   std::uint64_t degraded = 0;    ///< computed with reduced samples
   std::uint64_t stale_hits = 0;  ///< hits served from a previous epoch
+
+  /// Sum of the terminal buckets.
+  std::uint64_t terminal_total() const noexcept;
+  /// The outcome-breakdown invariant; holds exactly at quiescence (no
+  /// submission or execution racing the snapshot).
+  bool reconciled() const noexcept { return submitted == terminal_total(); }
+};
+
+/// One kOutcomeTable row.
+struct OutcomeRow {
+  Outcome outcome;
+  const char* name;  ///< the OutcomeCounts field's name, as printed
+  std::uint64_t OutcomeCounts::* field;
+  /// `outcome` label in veritas_(shard_)queries_total; nullptr = none.
+  const char* metric_label;
+  bool terminal;  ///< each future lands in exactly one terminal outcome
+};
+
+#define VERITAS_OUTCOME_ROW(outcome, field, label, terminal) \
+  OutcomeRow{Outcome::outcome, #field, &OutcomeCounts::field, label, terminal}
+/// The single source of the service's books, in Outcome order (which is
+/// also the metric sample order and the printout order).
+inline constexpr std::array kOutcomeTable{
+    VERITAS_OUTCOME_ROW(kSubmitted, submitted, nullptr, false),
+    VERITAS_OUTCOME_ROW(kComputed, computed, "computed", true),
+    VERITAS_OUTCOME_ROW(kCacheHit, cache_hits, "cache_hit", true),
+    VERITAS_OUTCOME_ROW(kCacheMiss, cache_misses, nullptr, false),
+    VERITAS_OUTCOME_ROW(kRejected, rejected, "rejected", true),
+    VERITAS_OUTCOME_ROW(kTimedOut, timed_out, "timed_out", true),
+    VERITAS_OUTCOME_ROW(kShed, shed, "shed", true),
+    VERITAS_OUTCOME_ROW(kFailed, failed, "failed", true),
+    VERITAS_OUTCOME_ROW(kDegraded, degraded, nullptr, false),
+    VERITAS_OUTCOME_ROW(kStaleHit, stale_hits, nullptr, false),
+};
+#undef VERITAS_OUTCOME_ROW
+inline constexpr std::size_t kNumOutcomes = kOutcomeTable.size();
+
+static_assert([] {
+  for (std::size_t i = 0; i < kNumOutcomes; ++i) {
+    if (kOutcomeTable[i].outcome != static_cast<Outcome>(i)) return false;
+  }
+  return true;
+}(), "kOutcomeTable rows must follow Outcome order");
+
+inline std::uint64_t OutcomeCounts::terminal_total() const noexcept {
+  std::uint64_t total = 0;
+  for (const OutcomeRow& row : kOutcomeTable) {
+    if (row.terminal) total += this->*row.field;
+  }
+  return total;
+}
+
+/// Point-in-time service counters. Gauges (queue depths, overloaded)
+/// are instantaneous; the rest are monotonic over the service lifetime.
+struct ServiceStats : OutcomeCounts {
   std::uint64_t cache_evictions = 0;
   std::size_t cache_entries = 0;
   std::size_t queue_depth = 0;   ///< jobs pending across all priorities
   /// Pending jobs per priority class (index = Priority).
   std::array<std::size_t, kNumPriorities> queue_depth_by_priority{};
   bool overloaded = false;       ///< detector state right now
-
-  /// The outcome-breakdown invariant; holds exactly at quiescence (no
-  /// submission or execution racing the snapshot).
-  bool reconciled() const noexcept {
-    return submitted ==
-           computed + cache_hits + rejected + timed_out + shed + failed;
-  }
 };
 
 /// Per-shard slice of the service counters. Counters follow the shard
@@ -236,19 +288,9 @@ struct ServiceStats {
 /// traffic history) and reset only when the shard is removed and
 /// re-added. A query that was accepted but not yet executed has been
 /// counted in submitted (and misses) but not yet in a terminal bucket.
-struct ShardStats {
+struct ShardStats : OutcomeCounts {
   std::string name;
   std::uint64_t epoch = 0;          ///< epoch of the current engine
-  std::uint64_t submitted = 0;
-  std::uint64_t computed = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t stale_hits = 0;
   std::uint64_t in_flight = 0;      ///< lanes executing this shard now
   /// Compute-latency percentiles over this shard's *computed* queries
   /// (cache hits complete in the submitter and are not timed), read from
@@ -364,26 +406,15 @@ class VeritasService {
   std::size_t num_lanes() const noexcept { return lanes_; }
 
  private:
-  /// One terminal bucket per future, mirrored at service and shard
-  /// level. All atomics, relaxed: counters only, no ordering.
-  struct OutcomeCounters {
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> computed{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
-    std::atomic<std::uint64_t> rejected{0};
-    std::atomic<std::uint64_t> timed_out{0};
-    std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> failed{0};
-    std::atomic<std::uint64_t> degraded{0};
-    std::atomic<std::uint64_t> stale_hits{0};
-  };
+  /// One atomic per Outcome, mirrored at service and shard level.
+  /// Relaxed: counters only, no ordering.
+  using OutcomeCounters = std::array<std::atomic<std::uint64_t>, kNumOutcomes>;
 
   /// Lock-free per-shard counters, shared between the registry entry and
   /// every in-flight job that resolved the shard (so a concurrent
   /// remove_shard can never invalidate a worker's counter).
   struct ShardCounters {
-    OutcomeCounters outcomes;
+    OutcomeCounters outcomes{};
     util::LatencyHistogram latency;  ///< computed-query wall time
     std::atomic<std::uint64_t> in_flight{0};  ///< lane-quota gauge
   };
@@ -446,7 +477,7 @@ class VeritasService {
   bool serve_from_cache(Job& job, std::uint64_t epoch, bool stale);
 
   /// Resolves the job's future with a non-ok status and lands it in the
-  /// matching counter bucket (service + shard). No-op when already done.
+  /// matching outcome (service + shard). No-op when already done.
   void finish_with_status(Job& job, Status status);
 
   /// The shared front half of submit/try_submit: counts the submission
@@ -455,9 +486,12 @@ class VeritasService {
   /// when the future is already resolved.
   bool admit_or_resolve(Job& job);
 
-  /// Bumps the submitted counters (service + shard when known). Called
-  /// exactly once per future the service hands out.
-  void count_submitted(const Job& job);
+  /// Bumps `outcome` in the totals and in the shard's slice when known
+  /// (a job accepted by the queue has moved away, hence no Job&).
+  void count(const std::shared_ptr<ShardCounters>& shard, Outcome outcome);
+
+  /// Relaxed snapshot of one set of outcome atomics.
+  static OutcomeCounts snapshot(const OutcomeCounters& counters);
 
   void drain_lane();
 
@@ -479,7 +513,7 @@ class VeritasService {
   util::ShardedLruCache<CacheKey, CachedPayload, CacheKeyHash> cache_;
   util::BoundedPriorityQueue<Job, kNumPriorities> queue_;
 
-  OutcomeCounters totals_;
+  OutcomeCounters totals_{};
   /// Service-wide compute latency — the overload detector's p99 source.
   util::LatencyHistogram latency_;
   /// Trace-id source (ids start at 1; 0 means untraced).

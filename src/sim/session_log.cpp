@@ -46,6 +46,12 @@ std::size_t whole_number(const util::NumericCsvReader& row, Column k) {
   return static_cast<std::size_t>(v);
 }
 
+/// A window of no segments never opens (the estimator's round count
+/// would not end), and the TCP model needs positive round-trip times.
+constexpr Column kPositive[] = {kSize, kCwnd, kSsthresh, kRto, kMinRtt,
+                                kRtt, kChunkDuration, kSessionRtt};
+constexpr Column kNonNegative[] = {kStart, kLastSendGap, kBuffer};
+
 }  // namespace
 
 std::string to_csv(const SessionLog& log) {
@@ -68,16 +74,22 @@ SessionLog session_log_from_csv(const std::string& text) {
   util::NumericCsvReader row(text, kColumnNames);
   SessionLog log;
   while (row.next()) {
+    for (const Column k : kPositive) {
+      if (!(row[k] > 0.0)) row.reject(k, "must be positive");
+    }
+    for (const Column k : kNonNegative) {
+      if (!(row[k] >= 0.0)) row.reject(k, "must not be negative");
+    }
     ChunkLog c;
     c.index = whole_number(row, kIndex);
     c.quality = whole_number(row, kQuality);
     c.size_bytes = row[kSize];
     c.start_s = row[kStart];
     c.end_s = row[kEnd];
-    if (!(c.size_bytes > 0.0)) row.reject(kSize, "must be positive");
+    if (!log.chunks.empty() && !(c.start_s > log.chunks.back().start_s)) {
+      row.reject(kStart, "must be after the previous row's start_s");
+    }
     if (!(c.end_s > c.start_s)) row.reject(kEnd, "must be after start_s");
-    // A window of no segments never opens: the round count would not end.
-    if (!(row[kCwnd] > 0.0)) row.reject(kCwnd, "must be positive");
     c.tcp_at_start.cwnd_segments = row[kCwnd];
     c.tcp_at_start.ssthresh_segments = row[kSsthresh];
     c.tcp_at_start.rto_s = row[kRto];

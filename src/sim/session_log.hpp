@@ -53,8 +53,10 @@ std::string to_csv(const SessionLog& log);
 /// Parses to_csv() output; the columns may come in any order and extra
 /// columns are ignored. Throws ContractViolation naming the line and the
 /// column when a column is missing or repeated, a cell is not a finite
-/// number, index or quality is not a whole number >= 0, size_bytes <= 0,
-/// end_s <= start_s, or cwnd <= 0.
+/// number, index or quality is not a whole number >= 0, start_s < 0 or
+/// not after the previous row's start_s, end_s <= start_s, size_bytes,
+/// cwnd, ssthresh, rto_s, min_rtt_s, rtt_s, chunk_duration_s or
+/// session_rtt_s <= 0, or last_send_gap_s or buffer_s < 0.
 SessionLog session_log_from_csv(const std::string& text);
 
 }  // namespace veritas::sim

@@ -92,7 +92,7 @@ TEST_F(CliTest, IntegerFlagsRejectNonIntegers) {
   // Each value exits non-zero with a message naming the flag, before any
   // work is done.
   for (const char* bad : {"-1", "nan", "2.5"}) {
-    for (const char* flag : {"--powers", "--samples", "--seed"}) {
+    for (const char* flag : {"--samples", "--seed"}) {
       EXPECT_EQ(run({"infer", "--log", path("log.csv"), "--out-prefix",
                      path("inf"), flag, bad}),
                 1)

@@ -162,13 +162,17 @@ TEST(InferenceEngine, SmallPowerTableFallsBackBitExactly) {
   // memo in the same layout and run the same kernels; results must not
   // change.
   const sim::SessionLog log = shared_log();
-  VeritasConfig tiny;
-  tiny.precomputed_powers = 1;  // only A^0 and A^1 have slots
-  const InferenceEngine small(tiny);
-  const InferenceEngine big(VeritasConfig{});
+  const VeritasConfig cfg;
+  const StateSpace space(cfg.epsilon_mbps, cfg.max_mbps);
+  // The default config's model with slots for only A^0 and A^1.
+  const Ehmm small(space, TransitionModel::tridiagonal(space.size()),
+                   EmissionModel(cfg.sigma_mbps), cfg.delta_s,
+                   /*precompute_powers=*/1);
+  const InferenceEngine big(cfg);
   const auto observations = observations_from_log(log);
 
-  const auto pass_small = small.infer_session(observations);
+  Ehmm::Scratch scratch;
+  const auto pass_small = small.infer_fused(observations, scratch);
   const auto pass_big = big.infer_session(observations);
   expect_bit_identical(pass_small.viterbi, pass_big.viterbi);
   expect_bit_identical(pass_small.forward_backward, pass_big.forward_backward);

@@ -319,9 +319,9 @@ TEST(PrecomputedPowerWindow, SmallWindowBitIdenticalToLarge) {
 }
 
 // A default-config engine on a session with a gap longer than its
-// 64-window table: the long delta runs from the memo and must match an
-// engine with a 512-slot window, where it has a slot, bit for bit on
-// both tiers.
+// 64-window table: the long delta runs from the memo and must match the
+// same model built with a 512-slot window, where it has a slot, bit for
+// bit on both tiers.
 TEST(PrecomputedPowerWindow, LongGapMatchesLargeTable) {
   using core::testing::warm_observation;
   std::vector<ChunkObservation> obs;
@@ -334,11 +334,8 @@ TEST(PrecomputedPowerWindow, LongGapMatchesLargeTable) {
   obs.push_back(warm_observation(416.0, 2.0));
 
   const core::InferenceEngine default_engine{core::VeritasConfig{}};
-  core::VeritasConfig large_cfg;
-  large_cfg.precomputed_powers = 512;
-  const core::InferenceEngine large_engine(large_cfg);
   const Ehmm& by_default = default_engine.ehmm();
-  const Ehmm& large = large_engine.ehmm();
+  const Ehmm large = tridiagonal_ehmm(512);  // the default config's model
   ASSERT_EQ(by_default.window_deltas(obs)[3], 80u);
   ASSERT_LT(by_default.transition().precomputed_powers(), 80u);
   ASSERT_GT(large.transition().precomputed_powers(), 80u);

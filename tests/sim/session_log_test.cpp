@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abr/abr_factory.hpp"
@@ -183,7 +184,8 @@ std::string rejection(const std::string& csv) {
 }
 
 // Columns of to_csv(): 0 index, 1 quality, 2 size_bytes, 3 start_s,
-// 4 end_s, 5 cwnd, 9 rtt_s.
+// 4 end_s, 5 cwnd, 6 ssthresh, 7 rto_s, 8 min_rtt_s, 9 rtt_s,
+// 10 last_send_gap_s, 11 buffer_s, 12 chunk_duration_s, 13 session_rtt_s.
 TEST(SessionLog, RejectsNonFiniteCells) {
   for (const char* cell : {"nan", "inf", "-inf"}) {
     EXPECT_NE(rejection(with_cell(2, 9, cell)).find("line 3, column 'rtt_s'"),
@@ -238,6 +240,50 @@ TEST(SessionLog, RejectsIndexOrQualityThatIsNotAWholeNumber) {
               std::string::npos);
     EXPECT_NE(rejection(with_cell(3, 1, cell)).find("column 'quality'"),
               std::string::npos);
+  }
+}
+
+TEST(SessionLog, RejectsNonPositiveTcpTimesAndSessionConstants) {
+  const std::pair<std::size_t, const char*> columns[] = {
+      {6, "ssthresh"}, {7, "rto_s"},  {8, "min_rtt_s"},
+      {9, "rtt_s"}, {12, "chunk_duration_s"}, {13, "session_rtt_s"}};
+  for (const auto& [column, name] : columns) {
+    for (const char* cell : {"0", "-0.08"}) {
+      EXPECT_NE(rejection(with_cell(2, column, cell))
+                    .find("line 3, column '" + std::string(name) +
+                          "': must be positive"),
+                std::string::npos)
+          << name << " = " << cell;
+    }
+  }
+}
+
+TEST(SessionLog, RejectsNegativeStartGapOrBuffer) {
+  const std::pair<std::size_t, const char*> columns[] = {
+      {3, "start_s"}, {10, "last_send_gap_s"}, {11, "buffer_s"}};
+  for (const auto& [column, name] : columns) {
+    EXPECT_NE(rejection(with_cell(1, column, "-0.5"))
+                  .find("line 2, column '" + std::string(name) +
+                        "': must not be negative"),
+              std::string::npos)
+        << name;
+  }
+  // Zero is a valid gap and buffer (and the first chunk starts at 0).
+  for (const std::size_t column : {10, 11}) {
+    EXPECT_EQ(session_log_from_csv(with_cell(1, column, "0")).size(), 3u);
+  }
+}
+
+TEST(SessionLog, RejectsStartNotAfterPreviousStart) {
+  const std::string first = util::format_double(make_log().chunks[0].start_s);
+  // Line 3 repeats the previous start; line 4 goes back before it.
+  for (const std::size_t row : {2, 3}) {
+    EXPECT_NE(rejection(with_cell(row, 3, first))
+                  .find("line " + std::to_string(row + 1) +
+                        ", column 'start_s': must be after the previous "
+                        "row's start_s"),
+              std::string::npos)
+        << "row " << row;
   }
 }
 
