@@ -547,14 +547,25 @@ void BM_FullSession(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSession);
 
-// One MPC horizon search mid-session: chunk 150 of the shared MPC log
-// (default ladder, 5 s buffer) with the 150 downloads before it as
-// history. Repeated calls on one instance settle the robust error window
-// and the previous quality after a few iterations, so this times the
-// steady-state decision that every counterfactual replay runs per chunk.
+// One MPC horizon search mid-session, at a buffer capacity of
+// state.range(0) seconds: 5 s is the deployed setting, 30 s the one the
+// paper's Fig. 10 what-if replays. The context is chunk 150 of an MPC
+// session at that capacity on the shared log's trace (at 5 s, the shared
+// log itself), with the 150 downloads before it as history. Repeated
+// calls on one instance settle the robust error window and the previous
+// quality after a few iterations, so this times the steady-state
+// decision that every counterfactual replay runs per chunk.
 void BM_MpcChooseQuality(benchmark::State& state) {
-  const sim::SessionLog& log = shared_log();
   const video::Video video(video::default_video_config());
+  const auto traces =
+      trace::make_traces(trace::TraceFamily::kFccLike, 1, 2024);
+  sim::SessionConfig config;
+  config.buffer_capacity_s = static_cast<double>(state.range(0));
+  abr::Mpc deployed;
+  const sim::SessionLog log =
+      sim::run_session(video, deployed, net::NetworkPath(traces[0], 0.08),
+                       config)
+          .log;
   const std::size_t next = log.size() / 2;
   std::vector<abr::DownloadedChunk> history;
   for (std::size_t n = 0; n < next; ++n) {
@@ -565,14 +576,14 @@ void BM_MpcChooseQuality(benchmark::State& state) {
   context.video = &video;
   context.next_chunk = next;
   context.buffer_s = log.chunks[next].buffer_at_start_s;
-  context.buffer_capacity_s = 5.0;
+  context.buffer_capacity_s = config.buffer_capacity_s;
   context.history = history;
   abr::Mpc mpc;
   for (auto _ : state) {
     benchmark::DoNotOptimize(mpc.choose_quality(context));
   }
 }
-BENCHMARK(BM_MpcChooseQuality);
+BENCHMARK(BM_MpcChooseQuality)->Arg(5)->Arg(30);
 
 // One 300-chunk MPC session on an FCC-like trace with a 30 s buffer: the
 // replay the paper's Fig. 10 buffer what-if runs per posterior sample.

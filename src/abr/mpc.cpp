@@ -23,8 +23,9 @@ Mpc::Mpc(MpcConfig config) : config_(config) {
   VERITAS_EXPECTS(config_.horizon >= 1);
   VERITAS_EXPECTS(config_.throughput_window >= 1);
   VERITAS_EXPECTS(config_.safety_fallback_mbps > 0.0);
-  // The search's pruning bound assumes no step can gain more than its
-  // bitrate, which holds only for non-negative penalties.
+  // The search's pruning bound drops the switching penalty and charges
+  // the least possible stall, which bounds a step's gain only for
+  // non-negative penalties.
   VERITAS_EXPECTS(config_.rebuffer_penalty >= 0.0);
   VERITAS_EXPECTS(config_.switch_penalty >= 0.0);
 }
@@ -68,13 +69,13 @@ std::size_t Mpc::choose_quality(const AbrContext& context) {
   const double predicted_mbps =
       std::max(predict_throughput(context), 1e-6);
   const double chunk_s = video.chunk_duration_s();
+  const double capacity_s = context.buffer_capacity_s;
   const std::size_t remaining = video.num_chunks() - context.next_chunk;
   const std::size_t horizon = std::min(config_.horizon, remaining);
 
   // Hoist every Video lookup out of the search: per-(depth, quality)
-  // download times under the predicted throughput, the ladder bitrates,
-  // and suffix_bound_[d] = (horizon - d) * top bitrate, an upper bound on
-  // the QoE any (horizon - d) further steps can add.
+  // download times under the predicted throughput and the ladder
+  // bitrates.
   download_s_.resize(horizon * levels);
   bitrate_.resize(levels);
   suffix_bound_.resize(horizon + 1);
@@ -89,9 +90,66 @@ std::size_t Mpc::choose_quality(const AbrContext& context) {
           size_bytes * 8.0 / 1e6 / predicted_mbps;
     }
   }
-  for (std::size_t depth = 0; depth <= horizon; ++depth) {
-    suffix_bound_[depth] =
-        static_cast<double>(horizon - depth) * bitrate_[levels - 1];
+
+  // One step of the rollout: download `quality` at `depth` from `state`.
+  // The DFS and the constant-quality seed below both score leaves with
+  // it, so a leaf's QoE is the same bits whichever of them computes it.
+  const auto step = [&](const Rollout& state, std::size_t depth,
+                        std::size_t quality) {
+    const double bitrate = bitrate_[quality];
+    const double download_s = download_s_[depth * levels + quality];
+    const double stall = std::max(0.0, download_s - state.buffer_s);
+    double buffer = std::max(0.0, state.buffer_s - download_s) + chunk_s;
+    buffer = std::min(buffer, capacity_s);
+    double qoe = state.qoe + bitrate - config_.rebuffer_penalty * stall;
+    if (state.prev_bitrate >= 0.0) {
+      qoe -= config_.switch_penalty * std::abs(bitrate - state.prev_bitrate);
+    }
+    return Rollout{buffer, qoe, bitrate};
+  };
+
+  // Stall-aware suffix bound. A step never raises the buffer by more
+  // than chunk_s, nor past capacity, so the buffer at depth d is at most
+  // B_d, with B_0 = buffer_s and B_{d+1} = min(capacity, max(0, B_d) +
+  // chunk_s). Floating-point rounding is monotone, so that recursion
+  // bounds the rollout's own rounded buffer too. A step at depth d then
+  // gains at most max_q(bitrate_q - rebuffer_penalty * max(0,
+  // download_s - B_d)) (both penalties are >= 0), and suffix_bound_[d]
+  // sums that over the depths d..horizon-1: it bounds the QoE any
+  // completion adds.
+  double max_buffer = context.buffer_s;
+  for (std::size_t depth = 0; depth < horizon; ++depth) {
+    const double* download_row = download_s_.data() + depth * levels;
+    double gain = -std::numeric_limits<double>::infinity();
+    for (std::size_t quality = 0; quality < levels; ++quality) {
+      const double stall = std::max(0.0, download_row[quality] - max_buffer);
+      gain = std::max(gain,
+                      bitrate_[quality] - config_.rebuffer_penalty * stall);
+    }
+    suffix_bound_[depth] = gain;  // summed into a suffix below
+    max_buffer = std::min(capacity_s, std::max(0.0, max_buffer) + chunk_s);
+  }
+  suffix_bound_[horizon] = 0.0;
+  for (std::size_t depth = horizon; depth-- > 0;) {
+    suffix_bound_[depth] += suffix_bound_[depth + 1];
+  }
+
+  Rollout initial;
+  initial.buffer_s = context.buffer_s;
+  initial.prev_bitrate =
+      has_last_quality_ ? video.bitrate_mbps(last_quality_) : -1.0;
+
+  // Seeded pruning threshold: the best of the `levels` constant-quality
+  // leaves. Each is a leaf of the DFS scored by the same steps, so the
+  // optimum is >= threshold and every leaf that ties the optimum has a
+  // bound >= threshold.
+  double threshold = -std::numeric_limits<double>::infinity();
+  for (std::size_t quality = 0; quality < levels; ++quality) {
+    Rollout state = initial;
+    for (std::size_t depth = 0; depth < horizon; ++depth) {
+      state = step(state, depth, quality);
+    }
+    threshold = std::max(threshold, state.qoe);
   }
 
   double best_qoe = -std::numeric_limits<double>::infinity();
@@ -100,46 +158,35 @@ std::size_t Mpc::choose_quality(const AbrContext& context) {
   // Exact branch-and-bound over quality sequences (levels^horizon <= 5^5
   // leaves): simulate buffer dynamics under the predicted throughput and
   // score QoE = bitrate - rebuffer_penalty * stall - switch_penalty *
-  // |Δbitrate|. Each step adds at most its bitrate (both penalties are
-  // >= 0), so qoe + suffix_bound_[depth] bounds every leaf below a node.
-  // A node is skipped only when that bound falls short of best_qoe by a
-  // relative margin far wider than any rounding in the leaf sums, so a
-  // skipped leaf could never have passed the strict `>` below. With
-  // quality 0 visited first and each leaf scored by the same sequence of
-  // operations as in an exhaustive search, the choice (ties included) is
-  // the one that search makes.
-  auto rollout = [&](auto&& self, std::size_t depth, Rollout state,
+  // |Δbitrate|. qoe + suffix_bound_[depth] bounds every leaf below a
+  // node. A node is skipped only when that bound falls short of
+  // max(best_qoe, threshold) by a relative margin far wider than any
+  // rounding in the leaf sums, so a skipped leaf is strictly below the
+  // optimum and could never have passed the strict `>` below. The
+  // incumbent starts empty, the DFS visits quality 0 first and each leaf
+  // is scored by the same sequence of operations as in an exhaustive
+  // search, so the choice (ties included) is the one that search makes.
+  auto rollout = [&](auto&& self, std::size_t depth, const Rollout& state,
                      std::size_t first) -> void {
-    const double* download_row = download_s_.data() + depth * levels;
     const bool leaf = depth + 1 == horizon;
     for (std::size_t quality = 0; quality < levels; ++quality) {
-      const double bitrate = bitrate_[quality];
-      const double download_s = download_row[quality];
-      const double stall = std::max(0.0, download_s - state.buffer_s);
-      double buffer = std::max(0.0, state.buffer_s - download_s) + chunk_s;
-      buffer = std::min(buffer, context.buffer_capacity_s);
-      double qoe = state.qoe + bitrate - config_.rebuffer_penalty * stall;
-      if (state.prev_bitrate >= 0.0) {
-        qoe -= config_.switch_penalty * std::abs(bitrate - state.prev_bitrate);
-      }
+      const Rollout next = step(state, depth, quality);
       const std::size_t next_first = depth == 0 ? quality : first;
       if (leaf) {
-        if (qoe > best_qoe) {
-          best_qoe = qoe;
+        if (next.qoe > best_qoe) {
+          best_qoe = next.qoe;
           best_first = next_first;
         }
         continue;
       }
-      const double bound = qoe + suffix_bound_[depth + 1];
-      if (bound + 1e-9 * (std::abs(bound) + 1.0) < best_qoe) continue;
-      self(self, depth + 1, Rollout{buffer, qoe, bitrate}, next_first);
+      const double bound = next.qoe + suffix_bound_[depth + 1];
+      if (bound + 1e-9 * (std::abs(bound) + 1.0) <
+          std::max(best_qoe, threshold)) {
+        continue;
+      }
+      self(self, depth + 1, next, next_first);
     }
   };
-
-  Rollout initial;
-  initial.buffer_s = context.buffer_s;
-  initial.prev_bitrate =
-      has_last_quality_ ? video.bitrate_mbps(last_quality_) : -1.0;
   rollout(rollout, 0, initial, 0);
 
   last_quality_ = best_first;

@@ -6,8 +6,9 @@
 // error, then searches quality sequences over a lookahead horizon for the
 // one maximizing a QoE objective (bitrate reward, rebuffering penalty,
 // switching penalty) under simulated buffer dynamics. The search is an
-// exact branch-and-bound: it returns what an exhaustive search would,
-// ties included.
+// exact branch-and-bound, seeded with the best constant-quality sequence
+// as a pruning threshold and bounded by a stall-aware suffix bound: it
+// returns what an exhaustive search would, ties included.
 #pragma once
 
 #include <vector>
@@ -46,7 +47,7 @@ class Mpc final : public AbrAlgorithm {
   // Per-decision search tables, kept so a decision allocates nothing.
   std::vector<double> download_s_;    ///< [depth * levels + quality]
   std::vector<double> bitrate_;       ///< [quality]
-  std::vector<double> suffix_bound_;  ///< [depth], (horizon - depth) * top
+  std::vector<double> suffix_bound_;  ///< [depth], bound on steps depth..
 };
 
 }  // namespace veritas::abr

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string_view>
 
 #include "abr/abr_factory.hpp"
 #include "core/veritas.hpp"
@@ -38,6 +40,16 @@ std::string read_text_file(const std::filesystem::path& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// Reads a recorded session log; a log with no data rows is an error
+/// here, naming the file, rather than deep in the model.
+sim::SessionLog read_log(const std::string& path) {
+  sim::SessionLog log = sim::session_log_from_csv(read_text_file(path));
+  if (log.empty()) {
+    throw std::runtime_error("session log has no data rows: " + path);
+  }
+  return log;
 }
 
 trace::TraceFamily family_from_name(const std::string& name) {
@@ -109,8 +121,7 @@ int cmd_simulate(const CommandLine& cmd, std::ostream& out) {
 }
 
 int cmd_infer(const CommandLine& cmd, std::ostream& out) {
-  const sim::SessionLog log =
-      sim::session_log_from_csv(read_text_file(cmd.require("--log")));
+  const sim::SessionLog log = read_log(cmd.require("--log"));
   const core::VeritasConfig cfg = config_from_flags(cmd);
   const std::string prefix = cmd.get("--out-prefix", "inferred");
 
@@ -151,8 +162,7 @@ int cmd_replay(const CommandLine& cmd, std::ostream& out) {
 }
 
 int cmd_whatif(const CommandLine& cmd, std::ostream& out) {
-  const sim::SessionLog log =
-      sim::session_log_from_csv(read_text_file(cmd.require("--log")));
+  const sim::SessionLog log = read_log(cmd.require("--log"));
   query::Setting setting;
   setting.abr = cmd.get("--abr", "mpc");
   setting.buffer_capacity_s = cmd.number("--buffer", 5.0);
@@ -191,7 +201,7 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
     if (comma == std::string::npos) comma = spec.size();
     const std::string path = spec.substr(pos, comma - pos);
     if (!path.empty()) {
-      logs.push_back(sim::session_log_from_csv(read_text_file(path)));
+      logs.push_back(read_log(path));
     }
     pos = comma + 1;
   }
@@ -326,9 +336,7 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
 }
 
 int cmd_predict(const CommandLine& cmd, std::ostream& out) {
-  const sim::SessionLog log =
-      sim::session_log_from_csv(read_text_file(cmd.require("--log")));
-  VERITAS_EXPECTS(!log.empty());
+  const sim::SessionLog log = read_log(cmd.require("--log"));
   const double size = cmd.number("--size", 0.0);
   VERITAS_EXPECTS(size > 0.0);
 
@@ -349,6 +357,104 @@ int cmd_predict(const CommandLine& cmd, std::ostream& out) {
       << " p50=" << dist.time_quantile_s(0.50)
       << " p90=" << dist.time_quantile_s(0.90) << " s\n";
   return 0;
+}
+
+/// One `--key VALUE` a command reads; `value` names the value in usage().
+struct Option {
+  std::string_view key;
+  std::string_view value;
+  bool required = false;
+};
+
+/// A subcommand: the options it reads (any other is rejected before it
+/// runs, and usage() lists exactly these) and an optional usage note.
+struct Command {
+  std::string_view name;
+  int (*run)(const CommandLine&, std::ostream&);
+  std::vector<Option> options;
+  std::string_view note;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = [] {
+    // The EHMM options config_from_flags reads, shared by infer and serve.
+    const auto with_ehmm = [](std::vector<Option> options) {
+      options.insert(options.end(), {{"--samples", "K"},
+                                     {"--delta", "S"},
+                                     {"--epsilon", "MBPS"},
+                                     {"--sigma", "MBPS"},
+                                     {"--max-mbps", "MBPS"},
+                                     {"--seed", "N"}});
+      return options;
+    };
+    return std::vector<Command>{
+        {"generate-trace",
+         cmd_generate_trace,
+         {{"--out", "FILE", true},
+          {"--family",
+           "fcc_like|poor|good|wide_range|square_wave|constant_4"},
+          {"--seed", "N"}},
+         ""},
+        {"simulate",
+         cmd_simulate,
+         {{"--trace", "FILE", true},
+          {"--out", "LOG", true},
+          {"--abr", "mpc|bba|bola|rate_based|random|fixed:K"},
+          {"--buffer", "S"},
+          {"--rtt", "S"},
+          {"--ladder", "default|high"},
+          {"--seed", "N"}},
+         ""},
+        {"infer",
+         cmd_infer,
+         with_ehmm({{"--log", "LOG", true}, {"--out-prefix", "P"}}),
+         ""},
+        {"replay",
+         cmd_replay,
+         {{"--trace", "FILE", true},
+          {"--abr", "NAME"},
+          {"--buffer", "S"},
+          {"--ladder", "NAME"},
+          {"--rtt", "S"},
+          {"--seed", "N"}},
+         ""},
+        {"whatif",
+         cmd_whatif,
+         {{"--log", "LOG", true},
+          {"--abr", "NAME"},
+          {"--buffer", "S"},
+          {"--ladder", "NAME"},
+          {"--samples", "K"},
+          {"--rtt", "S"},
+          {"--seed", "N"}},
+         "(production what-if: no ground truth)"},
+        {"predict",
+         cmd_predict,
+         {{"--log", "LOG", true}, {"--size", "BYTES", true}},
+         ""},
+        {"serve",
+         cmd_serve,
+         with_ehmm({{"--logs", "LOG[,LOG...]", true},
+                    {"--repeat", "R"},
+                    {"--threads", "N"},
+                    {"--shard", "NAME"},
+                    {"--queue", "N"},
+                    {"--cache", "N"},
+                    {"--priority", "interactive|batch|background"},
+                    {"--deadline-ms", "MS"},
+                    {"--admission-timeout-ms", "MS"},
+                    {"--serve-stale", "0|1"},
+                    {"--degraded-samples", "M"},
+                    {"--metrics-out", "FILE"},
+                    {"--trace-out", "FILE"},
+                    {"--slow-query-ms", "MS"}}),
+         "(async shard service; repeat rounds show the cache; overload "
+         "flags bound waits and degrade gracefully; metrics-out writes a "
+         "Prometheus scrape, trace-out a Chrome trace JSON — needs "
+         "-DVERITAS_TRACING=ON)"},
+    };
+  }();
+  return table;
 }
 
 }  // namespace
@@ -413,31 +519,37 @@ CommandLine parse_command_line(std::span<const std::string> args) {
 }
 
 std::string usage() {
-  return
-      "veritas_cli <command> [--option value ...]\n"
-      "\n"
-      "commands:\n"
-      "  generate-trace  --out FILE [--family fcc_like|poor|good|wide_range|\n"
-      "                  square_wave|constant_4] [--seed N]\n"
-      "  simulate        --trace FILE --out LOG [--abr mpc|bba|bola|rate_based|\n"
-      "                  random|fixed:K] [--buffer S] [--rtt S] [--ladder default|high]\n"
-      "  infer           --log LOG [--out-prefix P] [--samples K] [--delta S]\n"
-      "                  [--epsilon MBPS] [--sigma MBPS] [--max-mbps MBPS]\n"
-      "  replay          --trace FILE [--abr NAME] [--buffer S] [--ladder NAME]\n"
-      "  whatif          --log LOG [--abr NAME] [--buffer S] [--ladder NAME]\n"
-      "                  [--samples K]   (production what-if: no ground truth)\n"
-      "  predict         --log LOG --size BYTES\n"
-      "  serve           --logs LOG[,LOG...] [--repeat R] [--threads N]\n"
-      "                  [--shard NAME] [--queue N] [--cache N] [--samples K]\n"
-      "                  [--priority interactive|batch|background]\n"
-      "                  [--deadline-ms MS] [--admission-timeout-ms MS]\n"
-      "                  [--serve-stale 0|1] [--degraded-samples M]\n"
-      "                  [--metrics-out FILE] [--trace-out FILE]\n"
-      "                  [--slow-query-ms MS]\n"
-      "                  (async shard service; repeat rounds show the cache;\n"
-      "                  overload flags bound waits and degrade gracefully;\n"
-      "                  metrics-out writes a Prometheus scrape, trace-out\n"
-      "                  a Chrome trace JSON — needs -DVERITAS_TRACING=ON)\n";
+  // Each command's options, then its note on a new line, word-wrapped
+  // into a column that starts after the command name.
+  constexpr std::size_t kIndent = 18, kWidth = 78;
+  std::string text =
+      "veritas_cli <command> [--option value ...]\n\ncommands:\n";
+  for (const Command& command : commands()) {
+    std::string line = "  " + std::string(command.name);
+    line.resize(kIndent - 1, ' ');
+    const auto flush = [&] {
+      text += line + "\n";
+      line.assign(kIndent - 1, ' ');
+    };
+    const auto add = [&](const std::string& word) {
+      if (line.size() >= kIndent && line.size() + 1 + word.size() > kWidth) {
+        flush();
+      }
+      line += ' ' + word;
+    };
+    for (const Option& option : command.options) {
+      const std::string word =
+          std::string(option.key) + " " + std::string(option.value);
+      add(option.required ? word : "[" + word + "]");
+    }
+    if (!command.note.empty()) {
+      flush();
+      std::istringstream note{std::string(command.note)};
+      for (std::string word; note >> word;) add(word);
+    }
+    flush();
+  }
+  return text;
 }
 
 int run_cli(std::span<const std::string> args, std::ostream& out,
@@ -448,15 +560,26 @@ int run_cli(std::span<const std::string> args, std::ostream& out,
   }
   try {
     const CommandLine cmd = parse_command_line(args);
-    if (cmd.command == "generate-trace") return cmd_generate_trace(cmd, out);
-    if (cmd.command == "simulate") return cmd_simulate(cmd, out);
-    if (cmd.command == "infer") return cmd_infer(cmd, out);
-    if (cmd.command == "replay") return cmd_replay(cmd, out);
-    if (cmd.command == "whatif") return cmd_whatif(cmd, out);
-    if (cmd.command == "predict") return cmd_predict(cmd, out);
-    if (cmd.command == "serve") return cmd_serve(cmd, out);
-    err << "unknown command: " << cmd.command << "\n" << usage();
-    return 2;
+    const auto& table = commands();
+    const auto command =
+        std::find_if(table.begin(), table.end(), [&](const Command& c) {
+          return c.name == cmd.command;
+        });
+    if (command == table.end()) {
+      err << "unknown command: " << cmd.command << "\n" << usage();
+      return 2;
+    }
+    // A typo or a removed flag fails here, before any work is done.
+    for (const auto& [key, value] : cmd.options) {
+      const bool known = std::any_of(
+          command->options.begin(), command->options.end(),
+          [&key](const Option& option) { return option.key == key; });
+      if (!known) {
+        throw ContractViolation("unknown option " + key + " for " +
+                                cmd.command);
+      }
+    }
+    return command->run(cmd, out);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";
     return 1;

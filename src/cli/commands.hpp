@@ -46,11 +46,13 @@ struct CommandLine {
 CommandLine parse_command_line(std::span<const std::string> args);
 
 /// Runs one CLI invocation. Returns the process exit code; writes
-/// human-readable output to `out` and errors to `err`.
+/// human-readable output to `out` and errors to `err`. An option the
+/// command does not read is an error (exit 1) before any work is done.
 int run_cli(std::span<const std::string> args, std::ostream& out,
             std::ostream& err);
 
-/// Multi-line usage text.
+/// Multi-line usage text: every command with exactly the options it
+/// accepts.
 std::string usage();
 
 }  // namespace veritas::cli

@@ -221,42 +221,86 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+// FCC-like traces rarely stall a 30 s buffer; the poor, wide-range and
+// square-wave families do, which is where the stall-aware bound prunes.
 TEST(MpcSearch, SessionsMatchExhaustiveSearchBitForBit) {
-  const auto traces = trace::make_traces(trace::TraceFamily::kFccLike, 4, 77);
-  for (const bool high : {false, true}) {
-    video::VideoConfig vcfg = video::default_video_config();
-    if (high) vcfg.ladder = video::high_ladder();
-    const video::Video video(vcfg);
-    for (const double capacity_s : {5.0, 30.0}) {
-      for (std::size_t t = 0; t < traces.size(); ++t) {
-        SCOPED_TRACE(testing::Message() << "trace " << t << " high " << high
-                                        << " buffer " << capacity_s);
-        const net::NetworkPath path(traces[t], 0.08);
-        sim::SessionConfig scfg;
-        scfg.buffer_capacity_s = capacity_s;
-        Mpc mpc;
-        ExhaustiveMpc reference{MpcConfig{}};
-        const sim::SessionResult got = sim::run_session(video, mpc, path, scfg);
-        const sim::SessionResult want =
-            sim::run_session(video, reference, path, scfg);
-        ASSERT_EQ(got.qualities, want.qualities);
-        ASSERT_EQ(got.log.size(), want.log.size());
-        for (std::size_t n = 0; n < got.log.size(); ++n) {
-          const auto& a = got.log.chunks[n];
-          const auto& b = want.log.chunks[n];
-          ASSERT_EQ(a.quality, b.quality) << "chunk " << n;
-          ASSERT_TRUE(same_bits(a.size_bytes, b.size_bytes)) << "chunk " << n;
-          ASSERT_TRUE(same_bits(a.start_s, b.start_s)) << "chunk " << n;
-          ASSERT_TRUE(same_bits(a.end_s, b.end_s)) << "chunk " << n;
-          ASSERT_TRUE(same_bits(a.buffer_at_start_s, b.buffer_at_start_s))
-              << "chunk " << n;
+  for (const auto family :
+       {trace::TraceFamily::kFccLike, trace::TraceFamily::kPoor,
+        trace::TraceFamily::kWideRange, trace::TraceFamily::kSquareWave}) {
+    const auto traces = trace::make_traces(family, 4, 77);
+    for (const bool high : {false, true}) {
+      video::VideoConfig vcfg = video::default_video_config();
+      if (high) vcfg.ladder = video::high_ladder();
+      const video::Video video(vcfg);
+      for (const double capacity_s : {5.0, 30.0}) {
+        for (std::size_t t = 0; t < traces.size(); ++t) {
+          SCOPED_TRACE(testing::Message()
+                       << trace::family_name(family) << " trace " << t
+                       << " high " << high << " buffer " << capacity_s);
+          const net::NetworkPath path(traces[t], 0.08);
+          sim::SessionConfig scfg;
+          scfg.buffer_capacity_s = capacity_s;
+          Mpc mpc;
+          ExhaustiveMpc reference{MpcConfig{}};
+          const sim::SessionResult got =
+              sim::run_session(video, mpc, path, scfg);
+          const sim::SessionResult want =
+              sim::run_session(video, reference, path, scfg);
+          ASSERT_EQ(got.qualities, want.qualities);
+          ASSERT_EQ(got.log.size(), want.log.size());
+          for (std::size_t n = 0; n < got.log.size(); ++n) {
+            const auto& a = got.log.chunks[n];
+            const auto& b = want.log.chunks[n];
+            ASSERT_EQ(a.quality, b.quality) << "chunk " << n;
+            ASSERT_TRUE(same_bits(a.size_bytes, b.size_bytes))
+                << "chunk " << n;
+            ASSERT_TRUE(same_bits(a.start_s, b.start_s)) << "chunk " << n;
+            ASSERT_TRUE(same_bits(a.end_s, b.end_s)) << "chunk " << n;
+            ASSERT_TRUE(same_bits(a.buffer_at_start_s, b.buffer_at_start_s))
+                << "chunk " << n;
+          }
+          EXPECT_TRUE(same_bits(got.startup_delay_s, want.startup_delay_s));
+          EXPECT_TRUE(same_bits(got.total_stall_s, want.total_stall_s));
+          EXPECT_TRUE(same_bits(got.session_end_s, want.session_end_s));
         }
-        EXPECT_TRUE(same_bits(got.startup_delay_s, want.startup_delay_s));
-        EXPECT_TRUE(same_bits(got.total_stall_s, want.total_stall_s));
-        EXPECT_TRUE(same_bits(got.session_end_s, want.session_end_s));
       }
     }
   }
+}
+
+// The pruning threshold is the best constant-quality leaf, but the
+// incumbent is not: when a constant sequence ties the optimum held by an
+// earlier DFS leaf, the earlier leaf must win. CBR rungs of 1, 2 and
+// 3 Mbps, 2 s chunks, 2 Mbps predicted, 2.5 s of buffer, horizon 2 and
+// no switching penalty: (0, 2) and (1, 1) both play 4 Mbps without a
+// stall, every sequence starting at rung 2 stalls on its first chunk,
+// and (1, 2) stalls on its second.
+TEST(MpcSearch, ConstantSequenceTyingAnEarlierLeafDoesNotWin) {
+  video::VideoConfig vcfg = video::default_video_config();
+  vcfg.ladder = {{"low", 1.0}, {"mid", 2.0}, {"top", 3.0}};
+  vcfg.vbr_sigma = 0.0;
+  vcfg.duration_s = 40.0 * vcfg.chunk_duration_s;
+  const video::Video video(vcfg);
+  ASSERT_EQ(vcfg.chunk_duration_s, 2.0);
+
+  MpcConfig mcfg;
+  mcfg.horizon = 2;
+  mcfg.switch_penalty = 0.0;
+  // 500 kB in 2 s: the harmonic mean predicts 2 Mbps.
+  const std::vector<DownloadedChunk> history{{0, 1, 500000.0, 2.0}};
+  AbrContext ctx;
+  ctx.video = &video;
+  ctx.next_chunk = 1;
+  ctx.buffer_s = 2.5;
+  ctx.buffer_capacity_s = 30.0;
+  ctx.history = history;
+
+  Mpc mpc(mcfg);
+  ExhaustiveMpc reference(mcfg);
+  const std::size_t want = reference.choose_quality(ctx);
+  EXPECT_EQ(want, 0u);
+  EXPECT_GT(reference.ties(), 0u);
+  EXPECT_EQ(mpc.choose_quality(ctx), want);
 }
 
 }  // namespace

@@ -266,5 +266,89 @@ TEST_F(CliTest, InferReportsLikelihood) {
   EXPECT_NE(out_.str().find("log-likelihood"), std::string::npos);
 }
 
+TEST_F(CliTest, UnknownOptionIsRejected) {
+  ASSERT_EQ(run({"generate-trace", "--out", path("gt.csv")}), 0);
+  ASSERT_EQ(run({"simulate", "--trace", path("gt.csv"), "--out",
+                 path("log.csv")}),
+            0);
+  // A typo exits 1 naming the option and the command, and writes nothing.
+  EXPECT_EQ(run({"infer", "--log", path("log.csv"), "--out-prefix",
+                 path("inf"), "--smaples", "3"}),
+            1);
+  EXPECT_NE(err_.str().find("unknown option --smaples for infer"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_FALSE(fs::exists(path("inf_map.csv")));
+  EXPECT_EQ(run({"generate-trace", "--out", path("gt2.csv"), "--sed", "3"}),
+            1);
+  EXPECT_NE(err_.str().find("unknown option --sed for generate-trace"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_FALSE(fs::exists(path("gt2.csv")));
+  // A removed flag is unknown too.
+  EXPECT_EQ(run({"infer", "--log", path("log.csv"), "--out-prefix",
+                 path("inf"), "--powers", "2"}),
+            1);
+  EXPECT_NE(err_.str().find("unknown option --powers for infer"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_FALSE(fs::exists(path("inf_map.csv")));
+  EXPECT_EQ(run({"serve", "--logs", path("log.csv"), "--metrics-out",
+                 path("m.prom"), "--powers", "2"}),
+            1);
+  EXPECT_NE(err_.str().find("unknown option --powers for serve"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_FALSE(fs::exists(path("m.prom")));
+  // An option another command reads is still unknown to this one.
+  EXPECT_EQ(run({"predict", "--log", path("log.csv"), "--size", "1000000",
+                 "--samples", "3"}),
+            1);
+  EXPECT_NE(err_.str().find("unknown option --samples for predict"),
+            std::string::npos)
+      << err_.str();
+}
+
+/// A recorded log cut to its header line: it parses, but has no chunks.
+class HeaderOnlyLogTest : public CliTest {
+ protected:
+  void SetUp() override {
+    CliTest::SetUp();
+    ASSERT_EQ(run({"generate-trace", "--out", path("gt.csv")}), 0);
+    ASSERT_EQ(run({"simulate", "--trace", path("gt.csv"), "--out",
+                   path("full.csv")}),
+              0);
+    const std::string text = slurp(path("full.csv"));
+    std::ofstream(path("log.csv")) << text.substr(0, text.find('\n') + 1);
+  }
+
+  void expect_rejected(std::initializer_list<std::string> args) {
+    EXPECT_EQ(run(args), 1);
+    EXPECT_NE(err_.str().find("session log has no data rows: " +
+                              path("log.csv")),
+              std::string::npos)
+        << err_.str();
+  }
+};
+
+TEST_F(HeaderOnlyLogTest, InferRejectsIt) {
+  expect_rejected({"infer", "--log", path("log.csv"), "--out-prefix",
+                   path("inf")});
+  EXPECT_FALSE(fs::exists(path("inf_map.csv")));
+}
+
+TEST_F(HeaderOnlyLogTest, WhatIfRejectsIt) {
+  expect_rejected({"whatif", "--log", path("log.csv"), "--buffer", "30"});
+}
+
+TEST_F(HeaderOnlyLogTest, PredictRejectsIt) {
+  expect_rejected({"predict", "--log", path("log.csv"), "--size", "1000000"});
+}
+
+TEST_F(HeaderOnlyLogTest, ServeRejectsIt) {
+  expect_rejected(
+      {"serve", "--logs", path("full.csv") + "," + path("log.csv")});
+}
+
 }  // namespace
 }  // namespace veritas::cli
