@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the core inference primitives:
 // Viterbi, forward-backward, posterior sampling, transition powers, the
 // TCP simulator, the estimator f and the MPC horizon search, session-log
-// parsing, plus a full end-to-end infer().
+// parsing, counterfactual replays, plus a full end-to-end infer().
 //
 // Benchmarks that exercise the EHMM kernels take a `simd` argument:
 // /simd:0 forces the scalar reference table, /simd:1 the bit-exact
@@ -17,6 +17,7 @@
 #include "math/simd_kernels.hpp"
 #include "net/network_path.hpp"
 #include "net/throughput_estimator.hpp"
+#include "query/counterfactual.hpp"
 #include "sim/session.hpp"
 #include "sim/session_log.hpp"
 #include "trace/trace_generator.hpp"
@@ -527,14 +528,25 @@ BENCHMARK(BM_FbWithEstimatorK17)
     ->Args({1, 0})
     ->Args({1, 1});
 
+// One download of state.range(0) bytes on a fresh connection, over a
+// constant 5 Mbps trace on 5 s windows (fcc:0) or an FCC-like trace on
+// 1 s windows (fcc:1), where a large download crosses window boundaries.
 void BM_TcpDownload(benchmark::State& state) {
-  const auto bw = trace::BandwidthTrace::constant(5.0, 100000.0, 5.0);
+  const auto bw =
+      state.range(1) == 0
+          ? trace::BandwidthTrace::constant(5.0, 100000.0, 5.0)
+          : trace::make_traces(trace::TraceFamily::kFccLike, 1, 7)[0];
   for (auto _ : state) {
     net::TcpConnection conn(net::TcpConfig{}, 0.08);
     benchmark::DoNotOptimize(conn.download(bw, 0.0, double(state.range(0))));
   }
 }
-BENCHMARK(BM_TcpDownload)->Arg(25000)->Arg(1000000);
+BENCHMARK(BM_TcpDownload)
+    ->ArgNames({"bytes", "fcc"})
+    ->Args({25000, 0})
+    ->Args({1000000, 0})
+    ->Args({25000, 1})
+    ->Args({1000000, 1});
 
 void BM_FullSession(benchmark::State& state) {
   const auto traces = trace::make_traces(trace::TraceFamily::kFccLike, 1, 7);
@@ -599,6 +611,24 @@ void BM_MpcSession(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpcSession);
+
+// One counterfactual replay as predict_whatif runs it (session plus
+// metrics) on the first Veritas posterior sample of the shared FCC-like
+// log: BBA at a 5 s buffer (setting:0, the Fig. 9 what-if) and MPC at a
+// 30 s buffer (setting:1, the Fig. 10 what-if).
+void BM_ReplaySession(benchmark::State& state) {
+  static const trace::BandwidthTrace sample =
+      core::Veritas().infer(shared_log()).samples.front();
+  const video::Video video(video::default_video_config());
+  query::Setting setting;
+  setting.abr = state.range(0) == 0 ? "bba" : "mpc";
+  setting.buffer_capacity_s = state.range(0) == 0 ? 5.0 : 30.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        query::run_under_setting(sample, video, setting, 0.08, 0));
+  }
+}
+BENCHMARK(BM_ReplaySession)->ArgName("setting")->Arg(0)->Arg(1);
 
 // Reading one recorded 300-chunk MPC session log from its CSV text: the
 // ingestion step every what-if query starts with (sim.parse_us in the

@@ -523,7 +523,7 @@ std::string usage() {
   // into a column that starts after the command name.
   constexpr std::size_t kIndent = 18, kWidth = 78;
   std::string text =
-      "veritas_cli <command> [--option value ...]\n\ncommands:\n";
+      "veritas <command> [--option value ...]\n\ncommands:\n";
   for (const Command& command : commands()) {
     std::string line = "  " + std::string(command.name);
     line.resize(kIndent - 1, ' ');

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 
 #include "util/expects.hpp"
 #include "util/rng.hpp"
@@ -120,63 +121,78 @@ DownloadResult TcpConnection::download(const trace::BandwidthTrace& bandwidth,
                               (std::bit_cast<std::uint64_t>(size_bytes) *
                                0x9e3779b97f4a7c15ULL);
 
+  const double rtt = rtt_s_;
+  const double interval = bandwidth.interval_s();
+  const std::span<const double> rates = bandwidth.values_mbps();
+  const bool lossy = config_.enable_loss &&
+                     config_.congestion_control == CongestionControl::kCubicLike;
+
+  // One pass of the outer loop per bandwidth window: everything that
+  // depends only on the window's rate is computed once, then the rounds
+  // run while t stays in that window.
   while (remaining > 0.0) {
-    const double rate_mbps = bandwidth.at(t);
+    const std::size_t idx = bandwidth.window_index(t);
+    const double rate_mbps = rates[idx];
+    const bool last_window = idx + 1 >= rates.size();
     if (rate_mbps <= kMinRate) {
       // Nothing can be delivered in this window; skip to the next window
       // boundary (or stall forever if the trace ends at rate 0).
-      const std::size_t idx = bandwidth.window_index(t);
-      if (idx + 1 >= bandwidth.windows()) {
+      if (last_window) {
         // Trace holds 0 Mbps forever: model as an extremely long stall.
         result.end_s = t + 1e9;
         result.rounds = std::max(rounds, 1);
         last_send_s_ = result.end_s;
         return result;
       }
-      t = static_cast<double>(idx + 1) * bandwidth.interval_s();
+      t = static_cast<double>(idx + 1) * interval;
       continue;
     }
 
-    double link_rate = rate_mbps;
-    if (config_.rate_jitter > 0.0) {
-      const double u = static_cast<double>(util::splitmix64(noise_state) >> 11) *
-                       0x1.0p-53;
-      link_rate *= 1.0 + config_.rate_jitter * (2.0 * u - 1.0);
-    }
-    const double link_bytes = link_rate * 1e6 / 8.0 * rtt_s_;
-    const double window_bytes = cwnd_ * config_.mss_bytes;
-    const double round_bytes = std::min(window_bytes, link_bytes);
-
-    ++rounds;
-    if (remaining <= round_bytes && rounds > 1) {
-      // Fractional final round (first round always costs one full RTT:
-      // request plus first delivery cannot beat one round trip).
-      t += rtt_s_ * (remaining / round_bytes);
-      remaining = 0.0;
-    } else {
-      t += rtt_s_;
-      remaining -= std::min(remaining, round_bytes);
-    }
-
-    // Window evolution per round (shared law with the estimator f).
-    cwnd_ = grow_window(cwnd_, ssthresh_,
-                        bdp_segments(rate_mbps, rtt_s_, config_), config_);
-
+    const double bdp = bdp_segments(rate_mbps, rtt, config_);
     // Bottleneck overshoot: the queue absorbs queue_bdp_factor * BDP;
     // beyond that the tail drops and the sender halves into congestion
     // avoidance (fast recovery). Keeps ssthresh ~ BDP, so every
     // post-idle restart pays a slow linear climb — the size-dependent
     // throughput bias of paper Fig. 2(c).
-    if (config_.enable_loss &&
-        config_.congestion_control == CongestionControl::kCubicLike) {
-      const double bdp = bdp_segments(rate_mbps, rtt_s_, config_);
-      const double limit =
-          std::max((1.0 + config_.queue_bdp_factor) * bdp, config_.init_cwnd);
-      if (cwnd_ > limit) {
-        ssthresh_ = std::max(cwnd_ / 2.0, config_.init_cwnd);
-        cwnd_ = ssthresh_;
+    const double limit =
+        std::max((1.0 + config_.queue_bdp_factor) * bdp, config_.init_cwnd);
+    double cwnd = cwnd_;
+    double ssthresh = ssthresh_;
+    do {
+      double link_rate = rate_mbps;
+      if (config_.rate_jitter > 0.0) {
+        const double u =
+            static_cast<double>(util::splitmix64(noise_state) >> 11) *
+            0x1.0p-53;
+        link_rate *= 1.0 + config_.rate_jitter * (2.0 * u - 1.0);
       }
-    }
+      const double link_bytes = link_rate * 1e6 / 8.0 * rtt;
+      const double window_bytes = cwnd * config_.mss_bytes;
+      const double round_bytes = std::min(window_bytes, link_bytes);
+
+      ++rounds;
+      if (remaining <= round_bytes && rounds > 1) {
+        // Fractional final round (first round always costs one full RTT:
+        // request plus first delivery cannot beat one round trip).
+        t += rtt * (remaining / round_bytes);
+        remaining = 0.0;
+      } else {
+        t += rtt;
+        remaining -= std::min(remaining, round_bytes);
+      }
+
+      // Window evolution per round (shared law with the estimator f).
+      cwnd = grow_window(cwnd, ssthresh, bdp, config_);
+      if (lossy && cwnd > limit) {
+        ssthresh = std::max(cwnd / 2.0, config_.init_cwnd);
+        cwnd = ssthresh;
+      }
+      // The same test window_index(t) makes: the last window holds past
+      // the trace end, any other ends where t / interval reaches idx + 1.
+    } while (remaining > 0.0 &&
+             (last_window || static_cast<std::size_t>(t / interval) == idx));
+    cwnd_ = cwnd;
+    ssthresh_ = ssthresh;
   }
 
   result.end_s = t;

@@ -6,7 +6,17 @@
 // follows a BandwidthTrace. It implements slow start, additive congestion
 // avoidance, an rwnd clamp and RFC 2861 slow-start restart; loss is not
 // modelled (per paper §3.2). Within a round the link is fluid: the bytes
-// delivered are min(cwnd * MSS, rate(t) * RTT).
+// delivered are min(cwnd * MSS, rate(t) * RTT), with rate(t) read at the
+// round's start and jittered per round (TcpConfig::rate_jitter).
+//
+// download() walks the trace one bandwidth window at a time. Per window
+// it finds the window once and computes what depends only on its rate
+// (the zero-rate skip, the BDP and the loss limit); an inner loop then
+// runs the RTT rounds while t stays in that window, using the exact test
+// window_index(t) makes. The window law per round is still the shared
+// grow_window, so the result is the same as re-reading the trace every
+// round (tests/net/tcp_download_reference_test.cpp keeps that loop as the
+// reference).
 //
 // The estimator f (net/throughput_estimator.hpp) is a deliberately
 // simplified constant-bandwidth version of this process, so inference

@@ -1,6 +1,7 @@
 #include "query/counterfactual.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "abr/abr_factory.hpp"
 #include "core/baseline.hpp"
@@ -41,14 +42,20 @@ sim::QoeMetrics metric_order_statistic(
   return out;
 }
 
-}  // namespace
+/// The video a setting streams: `video` itself when the setting keeps
+/// its ladder, else a re-laddered copy built into `storage`.
+const video::Video& setting_video(const video::Video& video,
+                                  const Setting& setting,
+                                  std::optional<video::Video>& storage) {
+  if (setting.ladder.empty()) return video;
+  return storage.emplace(video.with_ladder(setting.ladder));
+}
 
-sim::QoeMetrics run_under_setting(const trace::BandwidthTrace& bandwidth,
-                                  const video::Video& video,
-                                  const Setting& setting, double rtt_s,
-                                  std::uint64_t seed) {
-  const video::Video replay_video =
-      setting.ladder.empty() ? video : video.with_ladder(setting.ladder);
+/// run_under_setting on a video that already carries the setting's ladder.
+sim::QoeMetrics replay(const trace::BandwidthTrace& bandwidth,
+                       const video::Video& replay_video,
+                       const Setting& setting, double rtt_s,
+                       std::uint64_t seed) {
   const net::NetworkPath path(bandwidth, rtt_s);
   const auto abr = abr::make_abr(setting.abr, seed);
   sim::SessionConfig session_config;
@@ -56,6 +63,17 @@ sim::QoeMetrics run_under_setting(const trace::BandwidthTrace& bandwidth,
   const sim::SessionResult result =
       sim::run_session(replay_video, *abr, path, session_config);
   return sim::compute_metrics(replay_video, result);
+}
+
+}  // namespace
+
+sim::QoeMetrics run_under_setting(const trace::BandwidthTrace& bandwidth,
+                                  const video::Video& video,
+                                  const Setting& setting, double rtt_s,
+                                  std::uint64_t seed) {
+  std::optional<video::Video> relaid;
+  return replay(bandwidth, setting_video(video, setting, relaid), setting,
+                rtt_s, seed);
 }
 
 CounterfactualEngine::CounterfactualEngine(core::VeritasConfig veritas_config,
@@ -108,14 +126,16 @@ WhatIfPrediction CounterfactualEngine::predict_whatif(
   const core::VeritasResult& inference = *inference_ptr;
   const trace::BandwidthTrace baseline = core::baseline_trace(log);
 
-  // ...then replay Setting B under each bandwidth hypothesis.
+  // ...then replay Setting B under each bandwidth hypothesis, on one
+  // Setting B video built for the whole query.
+  std::optional<video::Video> relaid;
+  const video::Video& video_b = setting_video(video, setting_b, relaid);
   WhatIfPrediction prediction;
-  prediction.baseline =
-      run_under_setting(baseline, video, setting_b, rtt_s_, seed);
+  prediction.baseline = replay(baseline, video_b, setting_b, rtt_s_, seed);
   prediction.veritas_samples.reserve(inference.samples.size());
   for (const trace::BandwidthTrace& sample : inference.samples) {
     prediction.veritas_samples.push_back(
-        run_under_setting(sample, video, setting_b, rtt_s_, seed));
+        replay(sample, video_b, setting_b, rtt_s_, seed));
   }
   prediction.veritas_low =
       metric_order_statistic(prediction.veritas_samples, false);
@@ -131,9 +151,8 @@ CounterfactualOutcome CounterfactualEngine::evaluate(
   CounterfactualOutcome outcome;
 
   // 1. Deploy Setting A on the ground truth; keep its log.
-  const video::Video video_a = setting_a.ladder.empty()
-                                   ? video
-                                   : video.with_ladder(setting_a.ladder);
+  std::optional<video::Video> relaid;
+  const video::Video& video_a = setting_video(video, setting_a, relaid);
   const net::NetworkPath path_a(gt_trace, rtt_s_);
   const auto abr_a = abr::make_abr(setting_a.abr, seed);
   sim::SessionConfig session_a;

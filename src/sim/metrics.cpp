@@ -15,9 +15,8 @@ QoeMetrics compute_metrics(const video::Video& video,
   double bitrate_sum = 0.0;
   for (std::size_t n = 0; n < result.qualities.size(); ++n) {
     const std::size_t q = result.qualities[n];
-    const double ssim = video.chunk_ssim(n, q);
-    ssim_sum += ssim;
-    ssim_db_sum += video::ssim_db(ssim);
+    ssim_sum += video.chunk_ssim(n, q);
+    ssim_db_sum += video.chunk_ssim_db(n, q);
     bitrate_sum += video.bitrate_mbps(q);
     if (n > 0 && result.qualities[n] != result.qualities[n - 1]) {
       ++m.quality_switches;

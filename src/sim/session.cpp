@@ -20,6 +20,8 @@ SessionResult run_session(const video::Video& video, abr::AbrAlgorithm& abr,
   SessionResult result;
   result.log.chunk_duration_s = chunk_s;
   result.log.rtt_s = path.rtt_s();
+  result.log.chunks.reserve(video.num_chunks());
+  result.qualities.reserve(video.num_chunks());
 
   std::vector<abr::DownloadedChunk> history;
   history.reserve(video.num_chunks());

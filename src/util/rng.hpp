@@ -13,8 +13,15 @@
 namespace veritas::util {
 
 /// splitmix64 step: used for seeding and for cheap stateless hashing of
-/// (seed, stream) pairs into independent generator states.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+/// (seed, stream) pairs into independent generator states. Inline: the
+/// TCP simulator draws one per RTT round.
+inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  state += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Deterministic random number generator (xoshiro256**).
 ///

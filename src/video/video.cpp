@@ -44,17 +44,24 @@ Video::Video(VideoConfig config) : config_(std::move(config)) {
   VERITAS_EXPECTS(num_chunks_ >= 1);
 
   util::Rng rng(config_.seed);
+  const std::size_t levels = config_.ladder.size();
   size_jitter_.reserve(num_chunks_);
-  difficulty_.reserve(num_chunks_);
+  ssim_.reserve(num_chunks_ * levels);
+  ssim_db_.reserve(num_chunks_ * levels);
   for (std::size_t n = 0; n < num_chunks_; ++n) {
     // Mean-corrected lognormal: E[jitter] == 1 so expected sizes match
     // the nominal bitrate.
     const double s = config_.vbr_sigma;
     size_jitter_.push_back(
         s > 0.0 ? rng.lognormal(-0.5 * s * s, s) : 1.0);
+    // Content difficulty: multiplicative factor on the SSIM deficit.
     const double d = config_.ssim_sigma;
-    difficulty_.push_back(std::clamp(
-        d > 0.0 ? rng.lognormal(-0.5 * d * d, d) : 1.0, 0.5, 2.0));
+    const double difficulty = std::clamp(
+        d > 0.0 ? rng.lognormal(-0.5 * d * d, d) : 1.0, 0.5, 2.0);
+    for (const QualityLevel& level : config_.ladder) {
+      ssim_.push_back(ssim_model(level.bitrate_mbps, difficulty));
+      ssim_db_.push_back(ssim_db(ssim_.back()));
+    }
   }
 }
 
@@ -69,7 +76,13 @@ double Video::chunk_size_bytes(std::size_t chunk, std::size_t quality) const {
 double Video::chunk_ssim(std::size_t chunk, std::size_t quality) const {
   VERITAS_EXPECTS(chunk < num_chunks_);
   VERITAS_EXPECTS(quality < config_.ladder.size());
-  return ssim_model(config_.ladder[quality].bitrate_mbps, difficulty_[chunk]);
+  return ssim_[chunk * config_.ladder.size() + quality];
+}
+
+double Video::chunk_ssim_db(std::size_t chunk, std::size_t quality) const {
+  VERITAS_EXPECTS(chunk < num_chunks_);
+  VERITAS_EXPECTS(quality < config_.ladder.size());
+  return ssim_db_[chunk * config_.ladder.size() + quality];
 }
 
 double Video::bitrate_mbps(std::size_t quality) const {

@@ -50,8 +50,12 @@ class Video {
   /// Encoded size in bytes of chunk `chunk` at quality `quality`.
   double chunk_size_bytes(std::size_t chunk, std::size_t quality) const;
 
-  /// SSIM index of chunk `chunk` at quality `quality` (in (0, 1)).
+  /// SSIM index of chunk `chunk` at quality `quality` (in (0, 1)):
+  /// ssim_model(bitrate, difficulty), tabled at construction.
   double chunk_ssim(std::size_t chunk, std::size_t quality) const;
+
+  /// ssim_db(chunk_ssim(chunk, quality)), tabled at construction.
+  double chunk_ssim_db(std::size_t chunk, std::size_t quality) const;
 
   /// Nominal bitrate of a quality level, Mbps.
   double bitrate_mbps(std::size_t quality) const;
@@ -64,9 +68,11 @@ class Video {
  private:
   VideoConfig config_;
   std::size_t num_chunks_;
-  // difficulty_[chunk]: multiplicative factor on size and SSIM deficit.
   std::vector<double> size_jitter_;
-  std::vector<double> difficulty_;
+  // Indexed [chunk * num_qualities() + quality], so a replay's metrics
+  // make no transcendental call per chunk.
+  std::vector<double> ssim_;
+  std::vector<double> ssim_db_;
 };
 
 /// SSIM of a stream encoded at `bitrate_mbps` with the given per-chunk

@@ -120,6 +120,13 @@ TEST_F(CliTest, HelpAndUnknownCommand) {
   EXPECT_NE(err_.str().find("unknown command"), std::string::npos);
 }
 
+TEST_F(CliTest, UsageNamesTheInstalledBinary) {
+  EXPECT_EQ(run({"help"}), 0);
+  const std::string text = out_.str();
+  EXPECT_EQ(text.substr(0, text.find('\n')),
+            "veritas <command> [--option value ...]");
+}
+
 TEST_F(CliTest, MissingRequiredOptionIsError) {
   EXPECT_EQ(run({"generate-trace"}), 1);
   EXPECT_NE(err_.str().find("--out"), std::string::npos);

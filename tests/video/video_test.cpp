@@ -123,6 +123,23 @@ TEST(Video, BoundsChecked) {
                veritas::ContractViolation);
   EXPECT_THROW(v.chunk_ssim(0, v.num_qualities()),
                veritas::ContractViolation);
+  EXPECT_THROW(v.chunk_ssim_db(v.num_chunks(), 0),
+               veritas::ContractViolation);
+}
+
+// The tables hold exactly what the model computes: ssim_model at
+// difficulty 1 when difficulty jitter is off, and ssim_db of each entry.
+TEST(Video, SsimTablesMatchTheModel) {
+  VideoConfig cfg = default_video_config();
+  cfg.ssim_sigma = 0.0;
+  const Video flat(cfg);
+  const Video v(default_video_config());
+  for (std::size_t n = 0; n < v.num_chunks(); ++n) {
+    for (std::size_t q = 0; q < v.num_qualities(); ++q) {
+      EXPECT_EQ(flat.chunk_ssim(n, q), ssim_model(flat.bitrate_mbps(q)));
+      EXPECT_EQ(v.chunk_ssim_db(n, q), ssim_db(v.chunk_ssim(n, q)));
+    }
+  }
 }
 
 TEST(LadderPresets, DefaultCoversPaperRange) {
