@@ -1,5 +1,4 @@
-// Service-layer bench: mixed-shard async throughput, cold vs warm cache,
-// and behavior under deliberate overload.
+// Service-layer bench: mixed-shard async throughput, cold vs warm cache.
 //
 // Workload: N recorded sessions split across two shards (different model
 // configurations), submitted as async queries. The cold round computes
@@ -8,13 +7,6 @@
 // warm/cold speedup (acceptance: >= 5x). A determinism cross-check
 // compares every payload against the direct single-threaded
 // InferenceEngine path at each lane count.
-//
-// The overload scenario then offers work at ~2x the measured capacity
-// (open loop, mixed priorities, per-query deadlines, a small queue) and
-// reports what the admission layer did about it: goodput, shed /
-// rejected / timed-out / degraded counts, interactive p99 turnaround,
-// and whether the outcome counters reconcile exactly. Acceptance: no
-// submit() call blocks unboundedly, and the books balance.
 //
 // Usage: bench_service [--sessions N] [--repeat R] [--json PATH]
 // The optional JSON snapshot feeds tools/run_bench.sh (BENCH_6.json).
@@ -26,7 +18,6 @@
 #include <fstream>
 #include <future>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "abr/abr_factory.hpp"
@@ -128,134 +119,6 @@ struct LanePoint {
   bool deterministic = true;
 };
 
-// ------------------------------------------------------------- overload
-
-struct OverloadOutcome {
-  std::size_t offered = 0;          ///< queries submitted
-  double offered_per_sec = 0.0;     ///< open-loop arrival rate
-  double goodput_per_sec = 0.0;     ///< ok results / wall time
-  std::uint64_t ok = 0;
-  std::uint64_t degraded_results = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t failed = 0;
-  double max_submit_block_ms = 0.0;  ///< worst single submit() stall
-  double interactive_p99_ms = 0.0;   ///< arrival -> future resolved
-  bool reconciled = false;           ///< counters balance exactly
-};
-
-/// Offers `total` queries at 2x the measured capacity through a small
-/// queue with mixed priorities and deadlines, then reports what the
-/// overload machinery did.
-OverloadOutcome run_overload(const std::vector<sim::SessionLog>& logs,
-                             double capacity_sessions_per_sec,
-                             std::size_t threads) {
-  OverloadOutcome outcome;
-
-  service::ServiceOptions options;
-  options.num_threads = threads;
-  options.queue_capacity = 16;  // shallow on purpose: pressure, fast
-  options.cache_capacity = 4 * logs.size();
-  options.admission_timeout = std::chrono::milliseconds(50);
-  options.overload.queue_high_watermark = 0.5;
-  options.overload.shed_lowest_priority = true;
-  options.overload.degraded_num_samples = 1;
-  service::VeritasService service(options);
-  service.add_shard("a", shard_a_config());
-  service.add_shard("b", shard_b_config());
-
-  const std::size_t total = 4 * logs.size();
-  const double offered_rate = 2.0 * std::max(capacity_sessions_per_sec, 1.0);
-  const auto interval = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(1.0 / offered_rate));
-
-  struct Tracked {
-    std::future<Expected<service::InferenceResult>> future;
-    Clock::time_point arrival;
-    service::Priority priority = service::Priority::kBatch;
-    bool resolved = false;
-    double latency_ms = 0.0;
-  };
-  std::vector<Tracked> tracked(total);
-
-  const auto start = Clock::now();
-  for (std::size_t i = 0; i < total; ++i) {
-    const auto arrival = start + interval * static_cast<long>(i);
-    std::this_thread::sleep_until(arrival);
-    service::Query query;
-    query.log = logs[i % logs.size()];
-    query.shard = shard_for(i);
-    // A distinct seed per arrival: every query is a genuine computation,
-    // never a repeat served from the cache.
-    query.seed = 0x5eed0000 + i;
-    query.options.priority = static_cast<service::Priority>(i % 3);
-    // Interactive work carries a deadline; the rest rely on the
-    // admission timeout for bounded waits.
-    if (query.options.priority == service::Priority::kInteractive) {
-      query.options.deadline = Clock::now() + std::chrono::milliseconds(500);
-    }
-    tracked[i].arrival = Clock::now();
-    tracked[i].priority = query.options.priority;
-    const auto before = Clock::now();
-    tracked[i].future = service.submit(std::move(query));
-    outcome.max_submit_block_ms =
-        std::max(outcome.max_submit_block_ms,
-                 std::chrono::duration<double, std::milli>(Clock::now() -
-                                                           before)
-                     .count());
-  }
-  outcome.offered = total;
-  outcome.offered_per_sec = offered_rate;
-
-  // Collector: sweep the outstanding futures so each resolution is
-  // timestamped close to when it happened (not when a serial join
-  // reached it).
-  std::size_t remaining = total;
-  while (remaining > 0) {
-    for (auto& t : tracked) {
-      if (t.resolved) continue;
-      if (t.future.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready) {
-        t.resolved = true;
-        t.latency_ms = std::chrono::duration<double, std::milli>(
-                           Clock::now() - t.arrival)
-                           .count();
-        --remaining;
-      }
-    }
-    if (remaining > 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  const double wall_s = seconds_since(start);
-
-  std::vector<double> interactive_latencies;
-  for (auto& t : tracked) {
-    const Expected<service::InferenceResult> result = t.future.get();
-    if (result.ok()) {
-      ++outcome.ok;
-      if (result.value().degraded) ++outcome.degraded_results;
-      if (t.priority == service::Priority::kInteractive) {
-        interactive_latencies.push_back(t.latency_ms);
-      }
-    }
-  }
-  if (!interactive_latencies.empty()) {
-    std::sort(interactive_latencies.begin(), interactive_latencies.end());
-    const std::size_t idx = std::min(
-        interactive_latencies.size() - 1,
-        static_cast<std::size_t>(0.99 * double(interactive_latencies.size())));
-    outcome.interactive_p99_ms = interactive_latencies[idx];
-  }
-  const service::ServiceStats stats = service.stats();
-  outcome.rejected = stats.rejected;
-  outcome.shed = stats.shed;
-  outcome.timed_out = stats.timed_out;
-  outcome.failed = stats.failed;
-  outcome.goodput_per_sec = double(outcome.ok) / wall_s;
-  outcome.reconciled = stats.reconciled();
-  return outcome;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -349,38 +212,6 @@ int main(int argc, char** argv) {
   std::printf("payloads identical to direct engine path: %s\n",
               deterministic ? "yes" : "NO (BUG)");
 
-  // Overload scenario: offer 2x the capacity a small lane count just
-  // demonstrated, through a shallow queue.
-  const std::size_t overload_threads = std::min<std::size_t>(
-      4, std::max<std::size_t>(1, hw));
-  double capacity = 0.0;
-  for (const LanePoint& p : points) {
-    if (p.threads == overload_threads) capacity = p.cold_sessions_per_sec;
-  }
-  if (capacity == 0.0) capacity = points.front().cold_sessions_per_sec;
-  std::printf("\n== overload scenario (offered ~2x capacity of %.1f/s, "
-              "%zu lanes, queue=16) ==\n",
-              capacity, overload_threads);
-  const OverloadOutcome overload =
-      run_overload(logs, capacity, overload_threads);
-  std::printf("offered %zu @ %.1f/s -> goodput %.1f/s | ok=%llu "
-              "(degraded=%llu) rejected=%llu shed=%llu timed_out=%llu "
-              "failed=%llu\n",
-              overload.offered, overload.offered_per_sec,
-              overload.goodput_per_sec,
-              static_cast<unsigned long long>(overload.ok),
-              static_cast<unsigned long long>(overload.degraded_results),
-              static_cast<unsigned long long>(overload.rejected),
-              static_cast<unsigned long long>(overload.shed),
-              static_cast<unsigned long long>(overload.timed_out),
-              static_cast<unsigned long long>(overload.failed));
-  std::printf("max submit() stall: %.1f ms (acceptance: bounded, << 1s) | "
-              "interactive p99: %.1f ms | counters reconciled: %s\n",
-              overload.max_submit_block_ms, overload.interactive_p99_ms,
-              overload.reconciled ? "yes" : "NO (BUG)");
-  const bool overload_ok =
-      overload.reconciled && overload.max_submit_block_ms < 1000.0;
-
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\n"
@@ -401,26 +232,9 @@ int main(int argc, char** argv) {
     out << "  ],\n"
         << "  \"warm_speedup\": " << headline.warm_speedup << ",\n"
         << "  \"deterministic_vs_direct_engine\": "
-        << (deterministic ? "true" : "false") << ",\n"
-        << "  \"overload\": {\n"
-        << "    \"offered\": " << overload.offered << ",\n"
-        << "    \"offered_per_sec\": " << overload.offered_per_sec << ",\n"
-        << "    \"goodput_per_sec\": " << overload.goodput_per_sec << ",\n"
-        << "    \"ok\": " << overload.ok << ",\n"
-        << "    \"degraded\": " << overload.degraded_results << ",\n"
-        << "    \"rejected\": " << overload.rejected << ",\n"
-        << "    \"shed\": " << overload.shed << ",\n"
-        << "    \"timed_out\": " << overload.timed_out << ",\n"
-        << "    \"failed\": " << overload.failed << ",\n"
-        << "    \"max_submit_block_ms\": " << overload.max_submit_block_ms
-        << ",\n"
-        << "    \"interactive_p99_ms\": " << overload.interactive_p99_ms
-        << ",\n"
-        << "    \"counters_reconciled\": "
-        << (overload.reconciled ? "true" : "false") << "\n"
-        << "  }\n"
+        << (deterministic ? "true" : "false") << "\n"
         << "}\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return (deterministic && overload_ok) ? 0 : 1;
+  return deterministic ? 0 : 1;
 }

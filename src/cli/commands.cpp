@@ -211,15 +211,6 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
   options.num_threads = cmd.count("--threads", 0);
   options.queue_capacity = cmd.count("--queue", 256);
   options.cache_capacity = cmd.count("--cache", 1024);
-  // Overload controls: bounded admission waits, and optional graceful
-  // degradation (stale hits / reduced samples) instead of queueing.
-  // The bound (~35 years) keeps steady_clock deadline arithmetic from
-  // overflowing.
-  const std::uint64_t admission_ms = cmd.count("--admission-timeout-ms", 0);
-  VERITAS_EXPECTS(admission_ms <= std::uint64_t{1} << 40);
-  options.admission_timeout = std::chrono::milliseconds(admission_ms);
-  options.overload.serve_stale_hits = cmd.get("--serve-stale", "0") == "1";
-  options.overload.degraded_num_samples = cmd.count("--degraded-samples", 0);
   // Observability sinks (PR 8): --metrics-out writes one Prometheus
   // text scrape after the run; --trace-out arms span tracing and writes
   // Chrome trace-event JSON (chrome://tracing / Perfetto); a nonzero
@@ -244,18 +235,6 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
   const std::string shard = cmd.get("--shard", "default");
   service.add_shard(shard, config_from_flags(cmd));
 
-  // Per-query serving options shared by the whole workload.
-  service::QueryOptions qopts;
-  const std::string priority = cmd.get("--priority", "batch");
-  if (priority == "interactive") {
-    qopts.priority = service::Priority::kInteractive;
-  } else if (priority == "background") {
-    qopts.priority = service::Priority::kBackground;
-  } else {
-    VERITAS_EXPECTS(priority == "batch");
-  }
-  const double deadline_ms = cmd.number("--deadline-ms", 0.0);
-
   const std::uint64_t repeat =
       std::max<std::uint64_t>(1, cmd.count("--repeat", 2));
   out << "serving " << logs.size() << " sessions on shard '" << shard
@@ -263,13 +242,7 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
       << " rounds (kernels: " << math::simd_kernels::backend_name() << ")\n";
   for (std::uint64_t round = 0; round < repeat; ++round) {
     const auto start = std::chrono::steady_clock::now();
-    if (deadline_ms > 0.0) {
-      qopts.deadline = start + std::chrono::microseconds(static_cast<long>(
-                                   deadline_ms * 1000.0));
-    }
-    auto futures =
-        service.submit_batch(logs, shard, service::QueryKind::kAbduction,
-                             qopts);
+    auto futures = service.submit_batch(logs, shard);
     double total_ll = 0.0;
     std::uint64_t not_served = 0;
     for (auto& future : futures) {
@@ -277,7 +250,7 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
       if (result.ok()) {
         total_ll += result.value().abduction->log_likelihood;
       } else {
-        ++not_served;  // rejected / shed / deadline — counted, not fatal
+        ++not_served;  // rejected / failed — counted, not fatal
       }
     }
     const double wall_ms =
@@ -440,18 +413,12 @@ const std::vector<Command>& commands() {
                     {"--shard", "NAME"},
                     {"--queue", "N"},
                     {"--cache", "N"},
-                    {"--priority", "interactive|batch|background"},
-                    {"--deadline-ms", "MS"},
-                    {"--admission-timeout-ms", "MS"},
-                    {"--serve-stale", "0|1"},
-                    {"--degraded-samples", "M"},
                     {"--metrics-out", "FILE"},
                     {"--trace-out", "FILE"},
                     {"--slow-query-ms", "MS"}}),
-         "(async shard service; repeat rounds show the cache; overload "
-         "flags bound waits and degrade gracefully; metrics-out writes a "
-         "Prometheus scrape, trace-out a Chrome trace JSON — needs "
-         "-DVERITAS_TRACING=ON)"},
+         "(async shard service; repeat rounds show the cache; metrics-out "
+         "writes a Prometheus scrape, trace-out a Chrome trace JSON — "
+         "needs -DVERITAS_TRACING=ON)"},
     };
   }();
   return table;

@@ -85,9 +85,8 @@ VeritasResult InferenceEngine::infer(const sim::SessionLog& log,
 
 VeritasResult InferenceEngine::infer_with_seed(
     const sim::SessionLog& log, Ehmm::Scratch& scratch,
-    std::uint64_t sample_seed, std::size_t num_samples) const {
+    std::uint64_t sample_seed) const {
   VERITAS_TRACE_SPAN("engine.infer", "engine");
-  if (num_samples == kConfigNumSamples) num_samples = config_.num_samples;
   attach_cache(scratch);
   const std::vector<ChunkObservation> observations =
       observations_from_log(log);
@@ -109,13 +108,12 @@ VeritasResult InferenceEngine::infer_with_seed(
                       config_.delta_s, total_duration, config_.interpolation);
 
   // Per-index forked streams: sample k is identical no matter how many
-  // samples this call draws, which is what makes a degraded (truncated)
-  // result a strict prefix of the full one.
+  // samples the config asks for.
   util::Rng rng(sample_seed);
-  result.samples.reserve(num_samples);
+  result.samples.reserve(config_.num_samples);
   {
     VERITAS_TRACE_SPAN("engine.sample_posterior", "engine");
-    for (std::size_t k = 0; k < num_samples; ++k) {
+    for (std::size_t k = 0; k < config_.num_samples; ++k) {
       util::Rng child = rng.fork(k);
       const std::vector<std::size_t> states =
           ehmm_.sample_posterior(viterbi, fb, scratch, child, config_.sampler);

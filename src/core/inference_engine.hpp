@@ -107,26 +107,14 @@ class InferenceEngine {
   VeritasResult infer(const sim::SessionLog& log, Ehmm::Scratch& scratch) const;
   VeritasResult infer(const sim::SessionLog& log) const;
 
-  /// Sentinel for infer_with_seed's sample-count override: defer to
-  /// config().num_samples.
-  static constexpr std::size_t kConfigNumSamples = ~std::size_t{0};
-
   /// infer() with the posterior-sampling seed overridden: bit-identical
   /// to building an engine whose config differs only in `seed` and
   /// calling its infer() — the model itself is seed-independent. Lets a
   /// shared engine serve per-query seeds (e.g. per-session what-if
   /// queries) without rebuilding the EHMM tables.
-  ///
-  /// `num_samples` (kConfigNumSamples = the config's count) lets the
-  /// service degrade gracefully under overload: samples are drawn from
-  /// per-index forked RNG streams, so a result with m < K samples is
-  /// bit-identical to the first m samples of the full K-sample result —
-  /// degradation truncates the answer, it never changes it. 0 is
-  /// allowed (MAP + marginals only).
-  VeritasResult infer_with_seed(
-      const sim::SessionLog& log, Ehmm::Scratch& scratch,
-      std::uint64_t sample_seed,
-      std::size_t num_samples = kConfigNumSamples) const;
+  VeritasResult infer_with_seed(const sim::SessionLog& log,
+                                Ehmm::Scratch& scratch,
+                                std::uint64_t sample_seed) const;
 
   /// Abducts every log, fanning out over `num_threads` lanes (0 = the
   /// hardware thread count). Results are positionally identical to

@@ -144,7 +144,7 @@ DownloadResult TcpConnection::download(const trace::BandwidthTrace& bandwidth,
         last_send_s_ = result.end_s;
         return result;
       }
-      t = static_cast<double>(idx + 1) * interval;
+      t = bandwidth.window_end_s(idx);
       continue;
     }
 

@@ -107,7 +107,7 @@ std::shared_ptr<const core::VeritasResult> CounterfactualEngine::abduct(
     // engine.
     query.seed_xor = seed;
     // value() throws ContractViolation with the status text if the
-    // service rejected/shed/failed the query — counterfactual studies
+    // service rejected or failed the query — counterfactual studies
     // need every abduction, so an error here is not recoverable.
     return service_->submit(std::move(query)).get().value().abduction;
   }

@@ -1,7 +1,6 @@
 #include "service/veritas_service.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <utility>
 
@@ -22,8 +21,6 @@ using Clock = std::chrono::steady_clock;
 Outcome outcome_of(StatusCode code) {
   switch (code) {
     case StatusCode::kRejected: return Outcome::kRejected;
-    case StatusCode::kShed: return Outcome::kShed;
-    case StatusCode::kDeadlineExceeded: return Outcome::kTimedOut;
     case StatusCode::kNotFound:
     case StatusCode::kInternal:
     case StatusCode::kOk:  // unreachable: Expected rejects ok statuses
@@ -60,9 +57,8 @@ VeritasService::VeritasService(ServiceOptions options)
 
 VeritasService::~VeritasService() {
   // Closing the queue stops new submissions and wakes blocked lanes;
-  // they drain the remaining accepted jobs — expired deadlines resolve
-  // as kDeadlineExceeded, everything else computes — so every future
-  // ever handed out resolves before the pool joins. drain_lane never
+  // they compute the remaining accepted jobs, so every future ever
+  // handed out resolves before the pool joins. drain_lane never
   // lets an exception reach the pool, so wait_idle() cannot rethrow
   // from the destructor.
   queue_.close();
@@ -87,12 +83,6 @@ std::uint64_t VeritasService::add_shard(
   auto veritas = std::make_shared<const core::Veritas>(std::move(engine));
   const std::lock_guard<std::mutex> lock(registry_mutex_);
   Shard& shard = shards_[name];
-  // Replacing an existing shard is a swap: remember the outgoing epoch
-  // so its cache entries stay reachable as stale hits under overload.
-  if (shard.veritas != nullptr) {
-    shard.prev_epoch = shard.epoch;
-    shard.has_prev_epoch = true;
-  }
   shard.veritas = std::move(veritas);
   // Counters follow the name: a replaced shard keeps its history, a
   // fresh name starts at zero.
@@ -119,8 +109,6 @@ std::uint64_t VeritasService::swap_shard(const std::string& name,
   const std::lock_guard<std::mutex> lock(registry_mutex_);
   const auto it = shards_.find(name);
   VERITAS_EXPECTS(it != shards_.end());
-  it->second.prev_epoch = it->second.epoch;
-  it->second.has_prev_epoch = true;
   it->second.veritas = std::move(veritas);
   it->second.epoch = next_epoch_++;
   return it->second.epoch;
@@ -199,23 +187,18 @@ VeritasService::Job VeritasService::make_job(Query query) const {
   return job;
 }
 
-bool VeritasService::serve_from_cache(Job& job, std::uint64_t epoch,
-                                      bool stale) {
+bool VeritasService::serve_from_cache(Job& job) {
   if (options_.cache_capacity == 0) return false;
   VERITAS_TRACE_SPAN("service.cache_probe", "service");
-  CacheKey key = job.key;
-  key.epoch = epoch;
   // peek: the miss is counted only once the query is really accepted.
-  std::optional<CachedPayload> payload = cache_.peek(key);
+  std::optional<CachedPayload> payload = cache_.peek(job.key);
   if (!payload) return false;
   count(job.shard.counters, Outcome::kCacheHit);
-  if (stale) count(job.shard.counters, Outcome::kStaleHit);
   InferenceResult result;
   result.abduction = std::move(payload->abduction);
   result.predictions = std::move(payload->predictions);
   result.cache_hit = true;
-  result.stale = stale;
-  result.shard_epoch = epoch;
+  result.shard_epoch = job.key.epoch;
   job.done = true;
   job.promise.set_value(Expected<InferenceResult>(std::move(result)));
   return true;
@@ -254,39 +237,9 @@ bool VeritasService::admit_or_resolve(Job& job) {
                        Status::not_found("unknown shard: " + job.query.shard));
     return true;
   }
-  const QueryOptions& qopts = job.query.options;
-  if (qopts.deadline && Clock::now() >= *qopts.deadline) {
-    count(job.shard.counters, Outcome::kSubmitted);
-    finish_with_status(
-        job, Status::deadline_exceeded("deadline expired before admission"));
-    return true;
-  }
-  if (serve_from_cache(job, job.shard.epoch, /*stale=*/false)) {
+  if (serve_from_cache(job)) {
     count(job.shard.counters, Outcome::kSubmitted);
     return true;
-  }
-  if (overloaded()) {
-    const OverloadPolicy& policy = options_.overload;
-    // Degradation ladder, cheapest first: a stale hit costs nothing, a
-    // shed refusal costs the caller a retry, degraded compute still
-    // burns a lane (but a shorter one).
-    if (policy.serve_stale_hits && qopts.allow_degraded &&
-        job.shard.has_prev_epoch &&
-        serve_from_cache(job, job.shard.prev_epoch, /*stale=*/true)) {
-      count(job.shard.counters, Outcome::kSubmitted);
-      return true;
-    }
-    if (policy.shed_lowest_priority &&
-        qopts.priority == Priority::kBackground) {
-      count(job.shard.counters, Outcome::kSubmitted);
-      finish_with_status(
-          job, Status::shed("overloaded: background query shed at admission"));
-      return true;
-    }
-    if (policy.degraded_num_samples > 0 && qopts.allow_degraded &&
-        job.query.kind == QueryKind::kAbduction) {
-      job.degrade_samples = true;
-    }
   }
   if (VERITAS_FAILPOINT("service.queue.push")) {
     count(job.shard.counters, Outcome::kSubmitted);
@@ -302,65 +255,16 @@ std::future<Expected<InferenceResult>> VeritasService::submit(Query query) {
   if (admit_or_resolve(job)) return future;
 
   // From here the future is handed out no matter what the queue says —
-  // a failed push resolves it with a status instead of throwing.
+  // a failed push (the service is shutting down) resolves it with a
+  // status instead of throwing. The push blocks while the queue is full.
   count(job.shard.counters, Outcome::kSubmitted);
   if (job.trace_id != 0) job.enqueue_time = Clock::now();
   const std::shared_ptr<ShardCounters> counters = job.shard.counters;
-  const std::size_t prio =
-      static_cast<std::size_t>(job.query.options.priority);
-  const std::optional<Clock::time_point> deadline = job.query.options.deadline;
-
-  // The admission wait is bounded by the query's own deadline and the
-  // service-wide cap, whichever bites first; with neither set it blocks
-  // indefinitely (the legacy backpressure contract).
-  Clock::time_point bound = Clock::time_point::max();
-  if (deadline) bound = *deadline;
-  if (options_.admission_timeout.count() > 0) {
-    bound = std::min(bound, Clock::now() + options_.admission_timeout);
-  }
-
-  util::PushOutcome outcome;
-  if (job.query.options.priority == Priority::kInteractive) {
-    // Urgent work is admitted in O(1): displace queued lower-priority
-    // work rather than waiting behind it.
-    std::optional<Job> displaced;
-    outcome = queue_.push_displacing(std::move(job), prio, displaced);
-    if (displaced) {
-      finish_with_status(*displaced,
-                         Status::shed("displaced by an interactive arrival"));
-    }
-    if (outcome == util::PushOutcome::kFull) {
-      // Full of same-priority work: nothing to displace, wait like
-      // everyone else (job was left untouched by the failed push).
-      outcome = queue_.push_until(std::move(job), prio, bound);
-    }
+  if (queue_.push(std::move(job))) {
+    if (options_.cache_capacity > 0) count(counters, Outcome::kCacheMiss);
   } else {
-    outcome = queue_.push_until(std::move(job), prio, bound);
-  }
-
-  switch (outcome) {
-    case util::PushOutcome::kAccepted:
-      if (options_.cache_capacity > 0) count(counters, Outcome::kCacheMiss);
-      break;
-    case util::PushOutcome::kTimedOut:
-      // Which bound bit? The query's own deadline reads as a missed
-      // deadline; the service cap as an admission rejection.
-      if (deadline && bound == *deadline) {
-        finish_with_status(job, Status::deadline_exceeded(
-                                    "deadline expired waiting for admission"));
-      } else {
-        finish_with_status(
-            job, Status::rejected("queue full past the admission timeout"));
-      }
-      break;
-    case util::PushOutcome::kClosed:
-      finish_with_status(job,
-                         Status::rejected("VeritasService is shutting down"));
-      break;
-    case util::PushOutcome::kFull:
-      // push_until never returns kFull; kept for switch exhaustiveness.
-      finish_with_status(job, Status::rejected("queue full"));
-      break;
+    finish_with_status(job,
+                       Status::rejected("VeritasService is shutting down"));
   }
   return future;
 }
@@ -371,10 +275,8 @@ std::optional<std::future<Expected<InferenceResult>>> VeritasService::try_submit
   std::future<Expected<InferenceResult>> future = job.promise.get_future();
   if (admit_or_resolve(job)) return future;
   const std::shared_ptr<ShardCounters> counters = job.shard.counters;
-  const std::size_t prio =
-      static_cast<std::size_t>(job.query.options.priority);
   if (job.trace_id != 0) job.enqueue_time = Clock::now();
-  if (queue_.try_push(std::move(job), prio) != util::PushOutcome::kAccepted) {
+  if (!queue_.try_push(std::move(job))) {
     // Full or closing: nothing was counted — a rejected probe leaves no
     // trace, and the caller still owns retry policy.
     return std::nullopt;
@@ -386,8 +288,7 @@ std::optional<std::future<Expected<InferenceResult>>> VeritasService::try_submit
 
 std::vector<std::future<Expected<InferenceResult>>>
 VeritasService::submit_batch(std::span<const sim::SessionLog> logs,
-                             const std::string& shard, QueryKind kind,
-                             QueryOptions options) {
+                             const std::string& shard, QueryKind kind) {
   std::vector<std::future<Expected<InferenceResult>>> futures;
   futures.reserve(logs.size());
   for (const sim::SessionLog& log : logs) {
@@ -395,31 +296,9 @@ VeritasService::submit_batch(std::span<const sim::SessionLog> logs,
     query.log = log;
     query.shard = shard;
     query.kind = kind;
-    query.options = options;
     futures.push_back(submit(std::move(query)));
   }
   return futures;
-}
-
-bool VeritasService::overloaded() const {
-  const OverloadPolicy& policy = options_.overload;
-  // Depth trigger: watermark is a fraction of capacity, clamped so a
-  // completely full queue always qualifies.
-  const double watermark = std::clamp(policy.queue_high_watermark, 0.0, 1.0);
-  const std::size_t threshold = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(watermark * static_cast<double>(queue_.capacity()))));
-  if (queue_.size() >= threshold) return true;
-  // Latency trigger: compute p99 over budget, once the histogram has
-  // seen enough samples to mean anything.
-  if (policy.p99_budget_us > 0.0) {
-    const util::LatencyHistogram::Snapshot snap = latency_.snapshot();
-    if (snap.total >= policy.p99_min_samples &&
-        snap.percentile_us(0.99) > policy.p99_budget_us) {
-      return true;
-    }
-  }
-  return false;
 }
 
 std::vector<ShardStats> VeritasService::shard_stats() const {
@@ -456,12 +335,7 @@ ServiceStats VeritasService::stats() const {
   static_cast<OutcomeCounts&>(s) = snapshot(totals_);
   s.cache_evictions = cache.evictions;
   s.cache_entries = cache.entries;
-  s.queue_depth_by_priority = queue_.depths();
-  s.queue_depth = 0;
-  for (const std::size_t depth : s.queue_depth_by_priority) {
-    s.queue_depth += depth;
-  }
-  s.overloaded = overloaded();
+  s.queue_depth = queue_.size();
   return s;
 }
 
@@ -494,14 +368,6 @@ void VeritasService::register_metrics(util::MetricsRegistry& registry) const {
         return out;
       });
   registry.add_counter(
-      "veritas_queries_degraded_total",
-      "Queries computed with a reduced posterior sample count.", {},
-      [total] { return total(Outcome::kDegraded); });
-  registry.add_counter(
-      "veritas_stale_hits_total",
-      "Cache hits served from a shard's previous epoch under overload.", {},
-      [total] { return total(Outcome::kStaleHit); });
-  registry.add_counter(
       "veritas_result_cache_misses_total",
       "Queries accepted into the queue after missing the result cache.", {},
       [total] { return total(Outcome::kCacheMiss); });
@@ -513,19 +379,8 @@ void VeritasService::register_metrics(util::MetricsRegistry& registry) const {
                      "Resident result-cache entries.", {}, [this, count] {
                        return count(cache_.stats().entries);
                      });
-  registry.add_gauge(
-      "veritas_queue_depth", "Pending jobs per priority class.", [this, count] {
-        const std::array<std::size_t, kNumPriorities> depths =
-            queue_.depths();
-        return std::vector<Sample>{
-            {{{"priority", "interactive"}}, count(depths[0])},
-            {{{"priority", "batch"}}, count(depths[1])},
-            {{{"priority", "background"}}, count(depths[2])},
-        };
-      });
-  registry.add_gauge("veritas_overloaded",
-                     "1 while the overload detector is armed.", {},
-                     [this] { return overloaded() ? 1.0 : 0.0; });
+  registry.add_gauge("veritas_queue_depth", "Pending jobs in the queue.", {},
+                     [this, count] { return count(queue_.size()); });
   // The reconciliation invariant as a scrapeable self-check: submitted
   // minus the terminal buckets. In-flight and queued work makes it
   // transiently positive; a nonzero value at quiescence means a query
@@ -682,18 +537,8 @@ void VeritasService::register_metrics(util::MetricsRegistry& registry) const {
 
 void VeritasService::drain_lane() {
   core::Ehmm::Scratch scratch;
-  const std::size_t quota = options_.max_lanes_per_shard;
   for (;;) {
-    std::optional<Job> job =
-        quota == 0
-            ? queue_.pop()
-            : queue_.pop_if([quota](const Job& j) {
-                // Skip (don't reorder, don't drop) jobs whose shard
-                // already occupies its lane quota.
-                return j.shard.counters == nullptr ||
-                       j.shard.counters->in_flight.load(
-                           std::memory_order_relaxed) < quota;
-              });
+    std::optional<Job> job = queue_.pop();
     if (!job) return;  // closed and drained
     // Injected dequeue faults (slow consumer, a thrown probe) must
     // neither kill the lane nor leak the job just popped.
@@ -707,13 +552,6 @@ void VeritasService::drain_lane() {
       util::Tracer::record_span("service.queue_wait", "service",
                                 job->enqueue_time, Clock::now(),
                                 job->trace_id);
-    }
-    // Expire already-dead deadlines before burning a lane on them.
-    if (job->query.options.deadline &&
-        Clock::now() >= *job->query.options.deadline) {
-      finish_with_status(
-          *job, Status::deadline_exceeded("deadline expired in the queue"));
-      continue;
     }
     ShardCounters* counters = job->shard.counters.get();
     counters->in_flight.fetch_add(1, std::memory_order_relaxed);
@@ -733,9 +571,6 @@ void VeritasService::drain_lane() {
     } else {
       finish_with_status(*job, outcome.status());
     }
-    // A finished job may have freed a quota slot some blocked pop_if is
-    // waiting on.
-    if (quota != 0) queue_.notify_waiters();
   }
 }
 
@@ -748,21 +583,13 @@ Expected<InferenceResult> VeritasService::execute(
     const auto start = Clock::now();
     InferenceResult result;
     result.shard_epoch = job.shard.epoch;
-    result.degraded = job.degrade_samples;
     const core::Veritas& veritas = *job.shard.veritas;
     switch (job.query.kind) {
-      case QueryKind::kAbduction: {
-        // Degraded mode truncates the posterior sample set; per-index
-        // forked RNG streams make the result an exact prefix of the
-        // full answer.
-        const std::size_t num_samples =
-            job.degrade_samples ? options_.overload.degraded_num_samples
-                                : core::InferenceEngine::kConfigNumSamples;
+      case QueryKind::kAbduction:
         result.abduction = std::make_shared<const core::VeritasResult>(
             veritas.engine().infer_with_seed(job.query.log, scratch,
-                                             job.key.seed, num_samples));
+                                             job.key.seed));
         break;
-      }
       case QueryKind::kPredictSequence:
         result.predictions =
             std::make_shared<const std::vector<core::NextChunkPrediction>>(
@@ -776,10 +603,7 @@ Expected<InferenceResult> VeritasService::execute(
     latency_.record_us(us);
     job.shard.counters->latency.record_us(us);
     count(job.shard.counters, Outcome::kComputed);
-    if (job.degrade_samples) count(job.shard.counters, Outcome::kDegraded);
-    // Degraded results are partial answers — caching one would serve a
-    // truncated posterior to a later full-fidelity query.
-    if (options_.cache_capacity > 0 && !job.degrade_samples) {
+    if (options_.cache_capacity > 0) {
       try {
         if (!VERITAS_FAILPOINT("service.cache.fill")) {
           cache_.put(job.key,

@@ -14,9 +14,11 @@
 //    swap never perturbs running work.
 //  * an async submission front-end: submit() returns a
 //    std::future<Expected<InferenceResult>> and enqueues the job on a
-//    *bounded* priority queue. Worker lanes drain the queue through
-//    util::ThreadPool, each lane reusing one Ehmm::Scratch arena across
-//    jobs, so steady-state serving allocates only results.
+//    *bounded* FIFO queue (a full queue blocks the submitter:
+//    backpressure; try_submit never waits). Worker lanes drain the
+//    queue through util::ThreadPool, each lane reusing one
+//    Ehmm::Scratch arena across jobs, so steady-state serving allocates
+//    only results.
 //  * a sharded LRU result cache keyed by (session-log content hash,
 //    shard name, shard epoch, query kind, sampling seed). Every
 //    add/swap assigns the shard a fresh epoch from a service-global
@@ -24,32 +26,21 @@
 //    — cache coherence by construction. Hits complete the future
 //    immediately without touching the queue.
 //
-// Failure semantics (see docs/ARCHITECTURE.md "Failure semantics &
-// overload behavior"): every future the service hands out resolves with
-// a definite Expected<InferenceResult> — a payload, or a Status naming
-// the terminal outcome (rejected / shed / deadline_exceeded / not_found
-// / internal). Overload is handled, not suffered: queries carry a
-// priority and an optional absolute deadline; admission waits are
-// bounded (timed push, and interactive arrivals displace queued
-// background work instead of waiting); an overload detector
-// (queue-depth watermark + compute-latency p99) drives a shed policy
-// that drops the lowest priority first and can degrade service —
-// slightly-stale cache entries and/or reduced posterior sample counts —
-// before refusing work. Deadlines already missed are expired at
-// dequeue, before they burn a lane. Exceptions inside a job are
+// Failure semantics (see docs/ARCHITECTURE.md "Failure semantics"):
+// every future the service hands out resolves with a definite
+// Expected<InferenceResult> — a payload, or a Status naming the terminal
+// outcome (rejected / not_found / internal). Exceptions inside a job are
 // converted to Status at the lane boundary: a poisoned query can never
 // take down or stall a lane. Deterministic failpoints
 // (util/failpoint.hpp) are wired into the queue, the lanes, the cache
 // fill and shard swap so all of this is testable on demand
 // (tests/service/chaos_test.cpp).
 //
-// Determinism: a non-degraded query's payload is bit-identical to
-// calling the direct single-threaded path (InferenceEngine::infer /
+// Determinism: a query's payload is bit-identical to calling the direct
+// single-threaded path (InferenceEngine::infer /
 // Veritas::predict_sequence) on an engine with the same configuration —
 // for any lane count, queue capacity, submission order, and whether the
-// answer came from the cache or a fresh computation. A degraded
-// kAbduction result is the exact prefix of the full one (same MAP trace
-// and marginals, first m posterior samples).
+// answer came from the cache or a fresh computation.
 #pragma once
 
 #include <array>
@@ -67,9 +58,9 @@
 
 #include "core/veritas.hpp"
 #include "sim/session_log.hpp"
+#include "util/bounded_queue.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/lru_cache.hpp"
-#include "util/priority_queue.hpp"
 #include "util/status.hpp"
 #include "util/thread_pool.hpp"
 
@@ -83,32 +74,6 @@ namespace veritas::service {
 enum class QueryKind {
   kAbduction,        ///< full posterior: MAP trace + K samples + marginals
   kPredictSequence,  ///< per-chunk interventional next-chunk predictions
-};
-
-/// Strict admission classes, most urgent first. The queue serves
-/// kInteractive before kBatch before kBackground, the shed policy drops
-/// in the opposite order, and an interactive arrival may displace
-/// queued background work when the queue is full.
-enum class Priority : std::uint8_t {
-  kInteractive = 0,
-  kBatch = 1,
-  kBackground = 2,
-};
-inline constexpr std::size_t kNumPriorities = 3;
-
-/// Per-query serving knobs (the Query's model-facing fields say *what*
-/// to compute; these say *how urgently* and *how negotiably*).
-struct QueryOptions {
-  Priority priority = Priority::kBatch;
-  /// Absolute deadline. Bounds the admission wait, expires the query at
-  /// dequeue when already missed, and resolves the future with
-  /// StatusCode::kDeadlineExceeded instead of computing late. nullopt =
-  /// no deadline (legacy blocking behavior).
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Whether the service may answer this query degraded under overload
-  /// (stale cache entry, reduced sample count) instead of queueing it
-  /// at full fidelity. Results record what happened.
-  bool allow_degraded = true;
 };
 
 /// One unit of work for the service.
@@ -126,7 +91,6 @@ struct Query {
   /// with concurrent shard swaps, unlike reading the config seed
   /// yourself before submitting.
   std::optional<std::uint64_t> seed_xor;
-  QueryOptions options;
 };
 
 /// A completed query. Payloads are immutable and shared with the result
@@ -137,89 +101,37 @@ struct InferenceResult {
   /// Set for QueryKind::kPredictSequence.
   std::shared_ptr<const std::vector<core::NextChunkPrediction>> predictions;
   bool cache_hit = false;
-  /// Computed under overload degradation: fewer posterior samples than
-  /// the shard config asks for (an exact prefix of the full answer).
-  bool degraded = false;
-  /// Served from the shard's previous epoch's cache entry under
-  /// overload (implies cache_hit; the payload is the old model's).
-  bool stale = false;
   std::uint64_t shard_epoch = 0;  ///< epoch of the engine that answered
-};
-
-/// When and how the service trades fidelity for liveness. The detector
-/// arms when the queue is deep (depth >= watermark * capacity) or when
-/// the compute-latency p99 blows its budget; the policy fields say what
-/// an armed detector may do. Defaults keep the happy path byte-for-byte
-/// identical to a service without the overload layer: nothing degrades,
-/// and only kBackground work (which predates nothing — the class is new)
-/// is ever pre-shed.
-struct OverloadPolicy {
-  /// Queue-depth fraction of capacity at which the service counts as
-  /// overloaded. >= 1.0 means only a completely full queue qualifies.
-  double queue_high_watermark = 0.75;
-  /// Compute-latency p99 budget in µs; 0 disables the latency trigger.
-  double p99_budget_us = 0.0;
-  /// Samples before the p99 trigger is trusted (a cold histogram's p99
-  /// is noise).
-  std::uint64_t p99_min_samples = 32;
-  /// Under overload, resolve kBackground submissions immediately with
-  /// kShed instead of queueing them.
-  bool shed_lowest_priority = true;
-  /// Under overload, a miss on the current epoch may be answered from
-  /// the shard's *previous* epoch's cache entry (marked stale in the
-  /// result) — the slightly-old model now, instead of the fresh model
-  /// late. Requires the query's allow_degraded.
-  bool serve_stale_hits = false;
-  /// Under overload, kAbduction queries with allow_degraded compute
-  /// this many posterior samples instead of the config's count (the
-  /// result is an exact prefix of the full answer and is not cached).
-  /// 0 disables sample-count degradation.
-  std::size_t degraded_num_samples = 0;
 };
 
 struct ServiceOptions {
   /// Worker lanes draining the queue (0 = hardware thread count). Each
   /// lane owns one scratch arena reused across jobs.
   std::size_t num_threads = 0;
-  /// Submission queue bound, shared across the three priority classes.
+  /// Submission queue bound; a full queue blocks submit().
   std::size_t queue_capacity = 256;
   /// Result-cache entries across all cache shards; 0 disables caching.
   std::size_t cache_capacity = 1024;
   /// Independently locked cache shards.
   std::size_t cache_shards = 8;
-  /// Longest a deadline-less submit() may block waiting for queue
-  /// space; zero = wait forever (the legacy backpressure behavior).
-  /// Queries with a deadline always use min(deadline, this bound).
-  std::chrono::milliseconds admission_timeout{0};
-  /// Max lanes concurrently executing one shard's queries (0 = no
-  /// quota). A saturated shard's jobs are skipped at dequeue — not
-  /// reordered, not dropped — so one hot shard cannot occupy every
-  /// lane and starve the rest of the fleet.
-  std::size_t max_lanes_per_shard = 0;
-  OverloadPolicy overload;
 };
 
 /// Everything the service counts per future. Counters, snapshots,
 /// reconciled(), metric families and the `serve` printout all loop over
 /// kOutcomeTable, so adding an outcome is one enum value plus one row.
 enum class Outcome : std::uint8_t {
-  kSubmitted, kComputed, kCacheHit, kCacheMiss, kRejected,
-  kTimedOut,  kShed,     kFailed,   kDegraded,  kStaleHit,
+  kSubmitted, kComputed, kCacheHit, kCacheMiss, kRejected, kFailed,
 };
 
 /// Snapshot of the monotonic outcome counters. Every future handed out
 /// lands in exactly one terminal bucket, so at quiescence they reconcile.
 struct OutcomeCounts {
   std::uint64_t submitted = 0;   ///< futures handed out (all outcomes)
-  std::uint64_t computed = 0;    ///< ran inference (degraded included)
-  std::uint64_t cache_hits = 0;  ///< answered from cache (stale included)
+  std::uint64_t computed = 0;    ///< ran inference
+  std::uint64_t cache_hits = 0;  ///< answered from cache
   std::uint64_t cache_misses = 0;  ///< accepted into the queue, not a hit
-  std::uint64_t rejected = 0;    ///< admission refused (full past timeout)
-  std::uint64_t timed_out = 0;   ///< deadline missed (at submit or dequeue)
-  std::uint64_t shed = 0;        ///< dropped by the shed policy
+  std::uint64_t rejected = 0;    ///< admission refused (failpoint, shutdown)
   std::uint64_t failed = 0;      ///< unknown shard or internal error
-  std::uint64_t degraded = 0;    ///< computed with reduced samples
-  std::uint64_t stale_hits = 0;  ///< hits served from a previous epoch
 
   /// Sum of the terminal buckets.
   std::uint64_t terminal_total() const noexcept;
@@ -248,11 +160,7 @@ inline constexpr std::array kOutcomeTable{
     VERITAS_OUTCOME_ROW(kCacheHit, cache_hits, "cache_hit", true),
     VERITAS_OUTCOME_ROW(kCacheMiss, cache_misses, nullptr, false),
     VERITAS_OUTCOME_ROW(kRejected, rejected, "rejected", true),
-    VERITAS_OUTCOME_ROW(kTimedOut, timed_out, "timed_out", true),
-    VERITAS_OUTCOME_ROW(kShed, shed, "shed", true),
     VERITAS_OUTCOME_ROW(kFailed, failed, "failed", true),
-    VERITAS_OUTCOME_ROW(kDegraded, degraded, nullptr, false),
-    VERITAS_OUTCOME_ROW(kStaleHit, stale_hits, nullptr, false),
 };
 #undef VERITAS_OUTCOME_ROW
 inline constexpr std::size_t kNumOutcomes = kOutcomeTable.size();
@@ -272,15 +180,12 @@ inline std::uint64_t OutcomeCounts::terminal_total() const noexcept {
   return total;
 }
 
-/// Point-in-time service counters. Gauges (queue depths, overloaded)
-/// are instantaneous; the rest are monotonic over the service lifetime.
+/// Point-in-time service counters. The queue depth is instantaneous;
+/// the rest are monotonic over the service lifetime.
 struct ServiceStats : OutcomeCounts {
   std::uint64_t cache_evictions = 0;
   std::size_t cache_entries = 0;
-  std::size_t queue_depth = 0;   ///< jobs pending across all priorities
-  /// Pending jobs per priority class (index = Priority).
-  std::array<std::size_t, kNumPriorities> queue_depth_by_priority{};
-  bool overloaded = false;       ///< detector state right now
+  std::size_t queue_depth = 0;   ///< jobs pending in the queue
 };
 
 /// Per-shard slice of the service counters. Counters follow the shard
@@ -308,9 +213,8 @@ class VeritasService {
  public:
   explicit VeritasService(ServiceOptions options = {});
 
-  /// Drains and completes every accepted query (expired deadlines
-  /// resolve as kDeadlineExceeded, the rest compute), then joins the
-  /// lanes. Every future ever handed out resolves with a definite
+  /// Drains and completes every accepted query, then joins the lanes.
+  /// Every future ever handed out resolves with a definite
   /// Expected<InferenceResult> — never a broken promise.
   ~VeritasService();
 
@@ -332,8 +236,7 @@ class VeritasService {
                           std::shared_ptr<const core::InferenceEngine> engine);
 
   /// Atomically replaces `name`'s engine and bumps its epoch, so cached
-  /// results for the old model can no longer be served (except as
-  /// explicitly-marked stale hits under overload). In-flight queries
+  /// results for the old model can no longer be served. In-flight queries
   /// keep the engine they resolved at submit time. Requires the shard
   /// to exist.
   std::uint64_t swap_shard(const std::string& name,
@@ -358,33 +261,25 @@ class VeritasService {
 
   /// Submits one query. The returned future ALWAYS resolves with a
   /// definite Expected<InferenceResult>: a payload, or a Status —
-  /// kNotFound (unknown shard), kRejected (queue full past the
-  /// admission bound, or shutting down), kShed (dropped by the overload
-  /// policy or displaced by a higher priority), kDeadlineExceeded, or
-  /// kInternal (inference raised; converted at the lane boundary).
-  /// Cache hits complete before submit() returns. A deadline-less
-  /// submission with admission_timeout 0 blocks while the queue is full
-  /// (legacy backpressure); otherwise the wait is bounded.
+  /// kNotFound (unknown shard), kRejected (an injected admission fault,
+  /// or shutting down), or kInternal (inference raised; converted at
+  /// the lane boundary). Cache hits complete before submit() returns.
+  /// Blocks while the queue is full (backpressure).
   std::future<Expected<InferenceResult>> submit(Query query);
 
   /// Non-blocking submit: nullopt when the queue is full (nothing is
   /// counted — a rejected probe leaves no trace). Cache hits and
-  /// immediately-resolvable outcomes (unknown shard, missed deadline)
-  /// still return a future.
+  /// immediately-resolvable outcomes (unknown shard) still return a
+  /// future.
   std::optional<std::future<Expected<InferenceResult>>> try_submit(
       Query query);
 
-  /// Submits every log against `shard` with the same options; futures
-  /// are positionally aligned with `logs`. May block as the queue
-  /// admits work (bounded per query by deadline/admission_timeout), so
-  /// the batch may be arbitrarily larger than the queue bound.
+  /// Submits every log against `shard`; futures are positionally
+  /// aligned with `logs`. Blocks as the queue admits work, so the batch
+  /// may be arbitrarily larger than the queue bound.
   std::vector<std::future<Expected<InferenceResult>>> submit_batch(
       std::span<const sim::SessionLog> logs, const std::string& shard,
-      QueryKind kind = QueryKind::kAbduction, QueryOptions options = {});
-
-  /// The overload detector's current verdict (queue-depth watermark
-  /// and/or compute-latency p99 over budget).
-  bool overloaded() const;
+      QueryKind kind = QueryKind::kAbduction);
 
   ServiceStats stats() const;
 
@@ -392,9 +287,9 @@ class VeritasService {
   std::vector<ShardStats> shard_stats() const;
 
   /// Registers this service's whole metric inventory — outcome counters,
-  /// queue depths per priority, overload and reconciliation-drift
-  /// gauges, per-shard counters/in-flight/epoch with a `shard` label,
-  /// compute-latency histograms, per-shard estimator-cache counters, and
+  /// queue-depth and reconciliation-drift gauges, per-shard
+  /// counters/in-flight/epoch with a `shard` label, compute-latency
+  /// histograms, per-shard estimator-cache counters, and
   /// a `veritas_build_info` info gauge carrying the resolved kernel tier
   /// — into `registry` as pull callbacks (see docs/OBSERVABILITY.md for
   /// the inventory). The callbacks capture `this`: the registry must not
@@ -416,16 +311,12 @@ class VeritasService {
   struct ShardCounters {
     OutcomeCounters outcomes{};
     util::LatencyHistogram latency;  ///< computed-query wall time
-    std::atomic<std::uint64_t> in_flight{0};  ///< lane-quota gauge
+    std::atomic<std::uint64_t> in_flight{0};  ///< lanes executing now
   };
 
   struct Shard {
     std::shared_ptr<const core::Veritas> veritas;  ///< facade over engine
     std::uint64_t epoch = 0;
-    /// Epoch before the last swap/replace — the key under which
-    /// slightly-stale cache entries live (serve_stale_hits).
-    std::uint64_t prev_epoch = 0;
-    bool has_prev_epoch = false;
     std::shared_ptr<ShardCounters> counters;
   };
 
@@ -453,9 +344,6 @@ class VeritasService {
     Shard shard;  ///< pinned at submit time; veritas null = unknown shard
     Query query;
     CacheKey key;
-    /// Set at admission when the overload policy degrades this query's
-    /// sample count.
-    bool degrade_samples = false;
     /// Nonzero only while tracing is enabled: the query's span id, set
     /// at make_job and carried into every span the lane records.
     std::uint64_t trace_id = 0;
@@ -472,9 +360,8 @@ class VeritasService {
   /// its cache key; the promise is default-constructed and unfulfilled.
   Job make_job(Query query) const;
 
-  /// Probes the cache under `epoch`; on a hit fulfills the promise
-  /// (marking stale/degraded as instructed) and returns true.
-  bool serve_from_cache(Job& job, std::uint64_t epoch, bool stale);
+  /// Probes the cache; on a hit fulfills the promise and returns true.
+  bool serve_from_cache(Job& job);
 
   /// Resolves the job's future with a non-ok status and lands it in the
   /// matching outcome (service + shard). No-op when already done.
@@ -482,8 +369,8 @@ class VeritasService {
 
   /// The shared front half of submit/try_submit: counts the submission
   /// and resolves everything that never reaches the queue (unknown
-  /// shard, missed deadline, cache hit, overload shed). Returns true
-  /// when the future is already resolved.
+  /// shard, cache hit, injected admission fault). Returns true when the
+  /// future is already resolved.
   bool admit_or_resolve(Job& job);
 
   /// Bumps `outcome` in the totals and in the shard's slice when known
@@ -495,8 +382,8 @@ class VeritasService {
 
   void drain_lane();
 
-  /// Runs the job's inference and lands it in the computed/degraded (or,
-  /// via the catch-all boundary, failed-bucket-to-be) books. Returns the
+  /// Runs the job's inference and lands it in the computed (or, via the
+  /// catch-all boundary, failed-bucket-to-be) books. Returns the
   /// outcome WITHOUT touching the promise: the lane resolves it after
   /// dropping the in_flight gauge, so a caller whose future is ready
   /// never observes its own job still counted as executing.
@@ -511,10 +398,10 @@ class VeritasService {
   std::uint64_t next_epoch_ = 0;
 
   util::ShardedLruCache<CacheKey, CachedPayload, CacheKeyHash> cache_;
-  util::BoundedPriorityQueue<Job, kNumPriorities> queue_;
+  util::BoundedQueue<Job> queue_;
 
   OutcomeCounters totals_{};
-  /// Service-wide compute latency — the overload detector's p99 source.
+  /// Service-wide compute latency.
   util::LatencyHistogram latency_;
   /// Trace-id source (ids start at 1; 0 means untraced).
   mutable std::atomic<std::uint64_t> next_trace_id_{0};

@@ -34,6 +34,15 @@ std::size_t BandwidthTrace::window_index(double t_s) const {
   return std::min(idx, values_mbps_.size() - 1);
 }
 
+double BandwidthTrace::window_end_s(std::size_t idx) const {
+  VERITAS_EXPECTS(idx + 1 < values_mbps_.size());
+  double end = static_cast<double>(idx + 1) * interval_s_;
+  while (static_cast<std::size_t>(end / interval_s_) <= idx) {
+    end = std::nextafter(end, std::numeric_limits<double>::infinity());
+  }
+  return end;
+}
+
 double BandwidthTrace::integrate_mbit(double a_s, double b_s) const {
   VERITAS_EXPECTS(a_s >= 0.0 && a_s <= b_s);
   double total = 0.0;
@@ -43,7 +52,7 @@ double BandwidthTrace::integrate_mbit(double a_s, double b_s) const {
     const double window_end =
         (idx + 1 == values_mbps_.size())
             ? std::numeric_limits<double>::infinity()  // hold last value
-            : static_cast<double>(idx + 1) * interval_s_;
+            : window_end_s(idx);
     const double seg_end = std::min(b_s, window_end);
     total += values_mbps_[idx] * (seg_end - t);
     t = seg_end;
@@ -64,12 +73,11 @@ double BandwidthTrace::time_to_transfer_s(double mbits, double start_s) const {
   for (;;) {
     const std::size_t idx = window_index(t);
     const double rate = values_mbps_[idx];
-    const bool last = (idx + 1 == values_mbps_.size());
-    const double window_end = static_cast<double>(idx + 1) * interval_s_;
-    if (last) {
+    if (idx + 1 == values_mbps_.size()) {  // the last value holds forever
       if (rate <= 0.0) return std::numeric_limits<double>::infinity();
       return (t - start_s) + remaining / rate;
     }
+    const double window_end = window_end_s(idx);
     const double capacity = rate * (window_end - t);
     if (capacity >= remaining) {
       return (t - start_s) + (rate > 0.0

@@ -40,6 +40,13 @@ class BandwidthTrace {
   /// Window index containing time t (clamped to the last window).
   std::size_t window_index(double t_s) const;
 
+  /// Where window `idx` ends: the earliest time window_index places in
+  /// a later window. Usually (idx + 1) * interval_s(), but that product
+  /// can round below the boundary window_index sees (3 * 0.7 / 0.7 is
+  /// 2.9999999999999996), so a loop stepping to it would never leave
+  /// window idx. Requires idx + 1 < windows().
+  double window_end_s(std::size_t idx) const;
+
   /// Integral of the rate over [a, b], in megabits. Requires a <= b.
   double integrate_mbit(double a_s, double b_s) const;
 

@@ -1,15 +1,14 @@
 // Structured error taxonomy for the serving path.
 //
-// Overload is not exceptional: when the service sheds a background query
-// or a deadline expires in the queue, that outcome is a *value* the
-// caller inspects, not a stack unwind. Status names the terminal outcome
-// of a query (one code per counter bucket in ServiceStats, so the
-// outcome breakdown reconciles exactly: submitted == computed + hits +
-// rejected + timed_out + shed + failed), and Expected<T> carries either
-// a payload or a non-ok Status through std::future without ever
-// breaking a promise. Exceptions remain for contract violations (caller
-// bugs); everything the *environment* can cause — overload, deadlines,
-// shard churn, a poisoned job — travels as a Status.
+// A refused admission or a failed job is not exceptional: that outcome
+// is a *value* the caller inspects, not a stack unwind. Status names the
+// terminal outcome of a query (each non-ok code lands in one counter
+// bucket in ServiceStats, so the outcome breakdown reconciles exactly:
+// submitted == computed + hits + rejected + failed), and Expected<T>
+// carries either a payload or a non-ok Status through std::future
+// without ever breaking a promise. Exceptions remain for contract
+// violations (caller bugs); everything the *environment* can cause —
+// shutdown, shard churn, a poisoned job — travels as a Status.
 #pragma once
 
 #include <cstdint>
@@ -25,17 +24,9 @@ namespace veritas {
 /// to exactly one ServiceStats counter bucket (see veritas_service.hpp).
 enum class StatusCode : std::uint8_t {
   kOk = 0,
-  /// Admission control refused the query: the queue stayed full past the
-  /// admission timeout, a failpoint forced rejection, or the service is
-  /// shutting down. Nothing was computed; safe to retry later.
+  /// Admission refused the query: a failpoint forced rejection, or the
+  /// service is shutting down. Nothing was computed; safe to retry later.
   kRejected,
-  /// The shed policy dropped the query to protect higher-priority work
-  /// (pre-shed at admission under overload, or displaced from the queue
-  /// by a higher-priority arrival).
-  kShed,
-  /// The query's deadline passed before it completed (already missed at
-  /// submit, expired while queued, or the admission wait ran into it).
-  kDeadlineExceeded,
   /// The named shard is not registered.
   kNotFound,
   /// Inference raised an exception; it was converted to this status at
@@ -48,8 +39,6 @@ inline const char* status_code_name(StatusCode code) noexcept {
   switch (code) {
     case StatusCode::kOk: return "ok";
     case StatusCode::kRejected: return "rejected";
-    case StatusCode::kShed: return "shed";
-    case StatusCode::kDeadlineExceeded: return "deadline_exceeded";
     case StatusCode::kNotFound: return "not_found";
     case StatusCode::kInternal: return "internal";
   }
@@ -67,12 +56,6 @@ class Status {
   static Status ok_status() { return Status(); }
   static Status rejected(std::string m) {
     return Status(StatusCode::kRejected, std::move(m));
-  }
-  static Status shed(std::string m) {
-    return Status(StatusCode::kShed, std::move(m));
-  }
-  static Status deadline_exceeded(std::string m) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(m));
   }
   static Status not_found(std::string m) {
     return Status(StatusCode::kNotFound, std::move(m));

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "util/expects.hpp"
 #include "util/trace.hpp"
@@ -31,6 +38,30 @@ class CliTest : public ::testing::Test {
   }
 
   std::string path(const std::string& name) { return (dir_ / name).string(); }
+
+  /// Runs the command in a child process, killed once `bound` has
+  /// passed, so a hang fails the test instead of stalling the suite.
+  /// Returns the exit code, or -1 when the bound killed it.
+  static int run_bounded(const std::vector<std::string>& argv,
+                         std::chrono::seconds bound) {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      std::ostringstream out, err;
+      std::_Exit(run_cli(argv, out, err));
+    }
+    if (pid < 0) return -1;
+    const auto give_up = std::chrono::steady_clock::now() + bound;
+    int status = 0;
+    while (::waitpid(pid, &status, WNOHANG) == 0) {
+      if (std::chrono::steady_clock::now() >= give_up) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &status, 0);
+        return -1;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
 
   static std::string slurp(const std::string& file) {
     std::ifstream in(file);
@@ -178,6 +209,18 @@ TEST_F(CliTest, SimulateHonorsAbrAndLadder) {
   EXPECT_NE(out_.str().find("avg_bitrate_mbps=2.5"), std::string::npos);
 }
 
+TEST_F(CliTest, SimulateCrossesAZeroRateWindowAtARoundedBoundary) {
+  // 0.7 s windows: the zero-rate window 2 ends where 3 * 0.7 / 0.7
+  // rounds to 2.9999999999999996, still window 2 by t / interval.
+  std::ofstream(path("gt.csv")) << "time_s,mbps\n0,5\n0.7,5\n1.4,0\n2.1,5\n";
+  EXPECT_EQ(run_bounded({"simulate", "--trace", path("gt.csv"), "--out",
+                         path("log.csv")},
+                        std::chrono::seconds(30)),
+            0)
+      << "simulate failed or did not finish within 30 s";
+  EXPECT_TRUE(fs::exists(path("log.csv")));
+}
+
 TEST_F(CliTest, WhatIfRunsFromLogAlone) {
   ASSERT_EQ(run({"generate-trace", "--out", path("gt.csv")}), 0);
   ASSERT_EQ(run({"simulate", "--trace", path("gt.csv"), "--out",
@@ -312,6 +355,24 @@ TEST_F(CliTest, UnknownOptionIsRejected) {
                  "--samples", "3"}),
             1);
   EXPECT_NE(err_.str().find("unknown option --samples for predict"),
+            std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, ServeRejectsRemovedOverloadFlags) {
+  ASSERT_EQ(run({"generate-trace", "--out", path("gt.csv")}), 0);
+  ASSERT_EQ(run({"simulate", "--trace", path("gt.csv"), "--out",
+                 path("log.csv")}),
+            0);
+  EXPECT_EQ(run({"serve", "--logs", path("log.csv"), "--priority",
+                 "interactive"}),
+            1);
+  EXPECT_NE(err_.str().find("unknown option --priority for serve"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_EQ(run({"serve", "--logs", path("log.csv"), "--deadline-ms", "5"}),
+            1);
+  EXPECT_NE(err_.str().find("unknown option --deadline-ms for serve"),
             std::string::npos)
       << err_.str();
 }

@@ -242,6 +242,16 @@ TEST(TcpConnection, ZeroRateWindowIsSkipped) {
   EXPECT_LT(r.end_s, 3.0);
 }
 
+TEST(TcpConnection, ZeroRateWindowEndingAtARoundedBoundaryIsSkipped) {
+  // 0.7 s windows: the dead window 2 ends where 3 * 0.7 / 0.7 rounds
+  // to 2.9999999999999996, i.e. still inside window 2 by that test.
+  const trace::BandwidthTrace bw(0.7, {5.0, 5.0, 0.0, 5.0});
+  TcpConnection conn(TcpConfig{}, kRtt);
+  const auto r = conn.download(bw, 1.5, 100000.0);
+  EXPECT_GE(r.end_s, 2.1);  // could not finish inside the dead window
+  EXPECT_LT(r.end_s, 4.0);
+}
+
 TEST(TcpConnection, AllZeroTraceStallsEffectivelyForever) {
   const trace::BandwidthTrace bw(1.0, {0.0});
   TcpConnection conn(TcpConfig{}, kRtt);

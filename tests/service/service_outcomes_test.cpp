@@ -1,16 +1,14 @@
 // The service's books seen through every view at once: one workload
-// drives each outcome in kOutcomeTable at least once (failpoints and a
-// tiny queue, as in chaos_test.cpp), then stats(), shard_stats(), the
+// drives each outcome in kOutcomeTable at least once (failpoints, as in
+// chaos_test.cpp), then stats(), shard_stats(), the
 // `*_queries_total` metric families, the single-counter families and
 // the veritas_unreconciled_queries gauge must all agree, bucket for
 // bucket, with the counts the workload implies.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <chrono>
 #include <future>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/test_helpers.hpp"
@@ -22,11 +20,9 @@
 namespace {
 
 using namespace veritas;
-using namespace std::chrono_literals;
 using service::InferenceResult;
 using service::Outcome;
 using service::OutcomeRow;
-using service::Priority;
 using service::Query;
 using service::VeritasService;
 using util::Failpoints;
@@ -43,13 +39,11 @@ core::VeritasConfig small_config() {
   return cfg;
 }
 
-Query make_query(const sim::SessionLog& log, std::uint64_t seed,
-                 Priority priority = Priority::kBatch) {
+Query make_query(const sim::SessionLog& log, std::uint64_t seed) {
   Query query;
   query.log = log;
   query.shard = "main";
   query.seed = seed;
-  query.options.priority = priority;
   return query;
 }
 
@@ -77,10 +71,6 @@ std::array<const char*, 2> unlabelled_families(Outcome outcome) {
               "veritas_shard_submitted_total"};
     case Outcome::kCacheMiss:
       return {"veritas_result_cache_misses_total", nullptr};
-    case Outcome::kDegraded:
-      return {"veritas_queries_degraded_total", nullptr};
-    case Outcome::kStaleHit:
-      return {"veritas_stale_hits_total", nullptr};
     default:
       return {nullptr, nullptr};
   }
@@ -89,10 +79,6 @@ std::array<const char*, 2> unlabelled_families(Outcome outcome) {
 TEST(ServiceOutcomes, EveryOutcomeIsCountedOnceInEveryView) {
   service::ServiceOptions options;
   options.num_threads = 1;
-  options.queue_capacity = 4;
-  options.overload.queue_high_watermark = 0.25;  // 1 queued job = overload
-  options.overload.serve_stale_hits = true;
-  options.overload.degraded_num_samples = 1;  // config asks for 2
   VeritasService service(options);
   service.add_shard("main", small_config());
   const sim::SessionLog log = test_log();
@@ -115,49 +101,14 @@ TEST(ServiceOutcomes, EveryOutcomeIsCountedOnceInEveryView) {
     auto rejected = service.submit(make_query(log, 3));
     EXPECT_EQ(code_of(rejected), StatusCode::kRejected);
   }
-  // timed_out: the deadline is already gone at admission.
-  Query late = make_query(log, 4);
-  late.options.deadline = std::chrono::steady_clock::now() - 1ms;
-  auto timed_out = service.submit(std::move(late));
-  EXPECT_EQ(code_of(timed_out), StatusCode::kDeadlineExceeded);
-
-  // Retire the model that cached seed 1, then overload the service: a
-  // slow job holds the lane and one queued job arms the detector.
-  core::VeritasConfig swapped = small_config();
-  swapped.sigma_mbps = 0.25;
-  service.swap_shard("main", swapped);
-  Failpoints::Config sleep;
-  sleep.mode = Failpoints::Config::Mode::kSleep;
-  sleep.sleep_ms = 300;
-  sleep.max_hits = 1;
-  const ScopedFailpoint lane_blocker("service.lane.execute", sleep);
-  auto slow = service.submit(make_query(log, 5));
-  const auto give_up = std::chrono::steady_clock::now() + 10s;
-  while (lane_blocker.hits() == 0 &&
-         std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_EQ(lane_blocker.hits(), 1u) << "the lane never took the slow job";
-  auto queued = service.submit(make_query(log, 6));
-  ASSERT_TRUE(service.overloaded());
-
-  // stale_hit (and cache_hit): seed 1 from the previous epoch.
-  auto stale = service.submit(make_query(log, 1));
-  // shed: background work is dropped at admission.
-  auto shed = service.submit(make_query(log, 7, Priority::kBackground));
-  // degraded (and computed, cache_miss): fewer samples.
-  auto degraded = service.submit(make_query(log, 8));
-
-  EXPECT_TRUE(stale.get().value().stale);
-  EXPECT_EQ(code_of(shed), StatusCode::kShed);
-  EXPECT_TRUE(degraded.get().value().degraded);
-  EXPECT_EQ(code_of(slow), StatusCode::kOk);
-  EXPECT_EQ(code_of(queued), StatusCode::kOk);
+  // A second computed query, so no row's expected count is ambiguous
+  // with another's.
+  EXPECT_FALSE(service.submit(make_query(log, 4)).get().value().cache_hit);
 
   // Counts in Outcome order: submitted, computed, cache_hits,
-  // cache_misses, rejected, timed_out, shed, failed, degraded, stale_hits.
+  // cache_misses, rejected, failed.
   const std::array<std::uint64_t, service::kNumOutcomes> expected{
-      10, 4, 2, 5, 1, 1, 1, 1, 1, 1};
+      5, 2, 1, 3, 1, 1};
 
   const service::ServiceStats stats = service.stats();
   const std::vector<service::ShardStats> shards = service.shard_stats();

@@ -124,5 +124,37 @@ TEST(BandwidthTrace, WindowIndexClamped) {
   EXPECT_EQ(t.window_index(100.0), 1u);
 }
 
+/// 0.7 s windows: 3 * 0.7 rounds to 2.0999999999999996, and
+/// 2.0999999999999996 / 0.7 to 2.9999999999999996, so the product
+/// (idx + 1) * interval lies inside window 2, not at its end.
+BandwidthTrace rounded_boundary_trace() {
+  return BandwidthTrace(0.7, {5.0, 5.0, 0.0, 5.0});
+}
+
+TEST(BandwidthTrace, WindowEndAgreesWithWindowIndex) {
+  const BandwidthTrace t = rounded_boundary_trace();
+  ASSERT_EQ(t.window_index(3.0 * 0.7), 2u);  // the rounding this guards
+  for (std::size_t idx = 0; idx + 1 < t.windows(); ++idx) {
+    const double end = t.window_end_s(idx);
+    EXPECT_EQ(t.window_index(end), idx + 1);
+    EXPECT_EQ(t.window_index(std::nextafter(end, 0.0)), idx);
+  }
+  EXPECT_THROW((void)t.window_end_s(3), veritas::ContractViolation);
+  // Where the product is already the boundary, it is the answer.
+  EXPECT_EQ(BandwidthTrace(5.0, {1.0, 2.0}).window_end_s(0), 5.0);
+  EXPECT_EQ(t.window_end_s(1), 2.0 * 0.7);
+}
+
+TEST(BandwidthTrace, IntegrateCrossesARoundedBoundary) {
+  const BandwidthTrace t = rounded_boundary_trace();
+  EXPECT_NEAR(t.integrate_mbit(0.0, 3.0), 5.0 * 1.4 + 5.0 * 0.9, 1e-9);
+}
+
+TEST(BandwidthTrace, TimeToTransferCrossesARoundedBoundary) {
+  const BandwidthTrace t = rounded_boundary_trace();
+  // 7 Mbit by 1.4 s, nothing until 2.1 s, then 5 Mbit at 5 Mbps.
+  EXPECT_NEAR(t.time_to_transfer_s(12.0, 0.0), 3.1, 1e-9);
+}
+
 }  // namespace
 }  // namespace veritas::trace

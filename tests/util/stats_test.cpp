@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/expects.hpp"
@@ -121,9 +122,10 @@ class QuantileMonotone : public ::testing::TestWithParam<int> {};
 
 TEST_P(QuantileMonotone, MonotoneInQ) {
   std::vector<double> v;
-  int x = GetParam();
+  // Unsigned, so the LCG wraps instead of overflowing a signed int.
+  auto x = static_cast<std::uint32_t>(GetParam());
   for (int i = 0; i < 50; ++i) {
-    x = (x * 1103515245 + 12345) & 0x7fffffff;
+    x = (x * 1103515245u + 12345u) & 0x7fffffffu;
     v.push_back(double(x % 1000));
   }
   double prev = quantile(v, 0.0);

@@ -24,9 +24,6 @@ TEST(Status, FactoriesCarryCodeAndMessage) {
   EXPECT_EQ(rejected.message(), "queue full");
   EXPECT_EQ(rejected.to_string(), "rejected: queue full");
 
-  EXPECT_EQ(Status::shed("x").code(), StatusCode::kShed);
-  EXPECT_EQ(Status::deadline_exceeded("x").code(),
-            StatusCode::kDeadlineExceeded);
   EXPECT_EQ(Status::not_found("x").code(), StatusCode::kNotFound);
   EXPECT_EQ(Status::internal("x").code(), StatusCode::kInternal);
 }
@@ -34,9 +31,6 @@ TEST(Status, FactoriesCarryCodeAndMessage) {
 TEST(Status, CodeNamesAreStable) {
   EXPECT_STREQ(status_code_name(StatusCode::kOk), "ok");
   EXPECT_STREQ(status_code_name(StatusCode::kRejected), "rejected");
-  EXPECT_STREQ(status_code_name(StatusCode::kShed), "shed");
-  EXPECT_STREQ(status_code_name(StatusCode::kDeadlineExceeded),
-               "deadline_exceeded");
   EXPECT_STREQ(status_code_name(StatusCode::kNotFound), "not_found");
   EXPECT_STREQ(status_code_name(StatusCode::kInternal), "internal");
 }
@@ -44,7 +38,7 @@ TEST(Status, CodeNamesAreStable) {
 TEST(Status, EqualityComparesCodeAndMessage) {
   EXPECT_EQ(Status::rejected("a"), Status::rejected("a"));
   EXPECT_NE(Status::rejected("a"), Status::rejected("b"));
-  EXPECT_NE(Status::rejected("a"), Status::shed("a"));
+  EXPECT_NE(Status::rejected("a"), Status::internal("a"));
 }
 
 TEST(Expected, HoldsValue) {
@@ -58,22 +52,22 @@ TEST(Expected, HoldsValue) {
 }
 
 TEST(Expected, HoldsError) {
-  const Expected<int> expected(Status::shed("overload"));
+  const Expected<int> expected(Status::rejected("shutting down"));
   EXPECT_FALSE(expected.ok());
   EXPECT_FALSE(static_cast<bool>(expected));
-  EXPECT_EQ(expected.status().code(), StatusCode::kShed);
+  EXPECT_EQ(expected.status().code(), StatusCode::kRejected);
   EXPECT_EQ(expected.value_or(-1), -1);
 }
 
 TEST(Expected, ValueOnErrorThrowsWithStatusText) {
-  const Expected<int> expected(Status::deadline_exceeded("too late"));
+  const Expected<int> expected(Status::internal("inference failed"));
   try {
     (void)expected.value();
     FAIL() << "value() on error must throw";
   } catch (const ContractViolation& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("deadline_exceeded"), std::string::npos);
-    EXPECT_NE(what.find("too late"), std::string::npos);
+    EXPECT_NE(what.find("internal"), std::string::npos);
+    EXPECT_NE(what.find("inference failed"), std::string::npos);
   }
 }
 

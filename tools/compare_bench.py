@@ -14,8 +14,7 @@ Tracked metrics:
   * batch:   single_session_us phases (lower), batch_throughput
              sessions_per_sec per thread count (higher).
   * train:   train_ms per mode (lower).
-  * service: per-lane cold/warm sessions_per_sec (higher) and the
-             overload goodput_per_sec (higher).
+  * service: per-lane cold/warm sessions_per_sec (higher).
 
 Improvements and new/retired metrics never fail the run; only
 tracked-metric regressions beyond the threshold do. The micro block is
@@ -63,10 +62,6 @@ def collect(snapshot):
             lane["cold_sessions_per_sec"], +1)
         metrics[f"service:warm_sessions_per_sec:threads={threads}"] = (
             lane["warm_sessions_per_sec"], +1)
-    overload = service.get("overload") or {}
-    if "goodput_per_sec" in overload:
-        metrics["service:overload:goodput_per_sec"] = (
-            overload["goodput_per_sec"], +1)
 
     return metrics
 

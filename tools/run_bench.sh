@@ -23,12 +23,9 @@
 # BM_TraceSpanDisabled / BM_TraceSpanEnabled (the observability tax of a
 # span site; Enabled self-skips in default -DVERITAS_TRACING=OFF builds).
 #
-# The PR 6 service bench additionally runs an overload scenario (2x the
-# measured cold capacity, mixed priorities, deadlines, shed + degraded
-# policies armed) and records the `overload` block: offered vs goodput
-# rates, per-status breakdown, interactive p99, max submit stall, and
-# the counter-reconciliation bit. The bench exits non-zero if a
-# submitter ever blocked >= 1 s or the books don't balance.
+# The service bench records cold and warm sessions/s per lane count and
+# whether every payload matched the direct engine path; it exits
+# non-zero on a mismatch.
 #
 # Usage: tools/run_bench.sh [output.json]   (default: BENCH_8.json)
 set -euo pipefail

@@ -13,7 +13,7 @@ import compare_bench  # noqa: E402
 
 
 def snapshot(micro_ns=100.0, batch_us=50.0, throughput=200.0,
-             train_ms=30.0, cold=10.0, warm=40.0, goodput=25.0):
+             train_ms=30.0, cold=10.0, warm=40.0):
     return {
         "micro": {"benchmarks": [
             {"name": "BM_Forward/simd:1", "run_type": "iteration",
@@ -30,7 +30,6 @@ def snapshot(micro_ns=100.0, batch_us=50.0, throughput=200.0,
         "service": {
             "lanes": [{"threads": 2, "cold_sessions_per_sec": cold,
                        "warm_sessions_per_sec": warm}],
-            "overload": {"goodput_per_sec": goodput},
         },
     }
 
@@ -49,8 +48,6 @@ class CollectTest(unittest.TestCase):
                          (10.0, +1))
         self.assertEqual(metrics["service:warm_sessions_per_sec:threads=2"],
                          (40.0, +1))
-        self.assertEqual(metrics["service:overload:goodput_per_sec"],
-                         (25.0, +1))
 
     def test_skips_aggregate_rows_and_missing_blocks(self):
         metrics = compare_bench.collect(snapshot())
@@ -88,7 +85,7 @@ class MainTest(unittest.TestCase):
             self.run_main(snapshot(throughput=100.0), snapshot()), 1)
 
     def test_improvements_never_fail(self):
-        improved = snapshot(micro_ns=50.0, throughput=400.0, goodput=50.0)
+        improved = snapshot(micro_ns=50.0, throughput=400.0, warm=80.0)
         self.assertEqual(self.run_main(improved, snapshot()), 0)
 
     def test_threshold_is_respected(self):
